@@ -1,15 +1,11 @@
 #include "core/analysis/data_access.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <functional>
 
-#include "common/concurrent_hash.h"
 #include "common/interner.h"
-#include "common/parallel.h"
 #include "stats/descriptive.h"
 #include "storage/access_stream.h"
 
@@ -21,123 +17,44 @@ namespace {
 // per touch instead of a string hash + chained-bucket walk. Ids are
 // assigned in first-appearance order, so every loop below is byte-for-byte
 // deterministic.
-//
-// The popularity and file-size scans additionally go parallel on large
-// traces — ParallelFor workers update ONE shared table (a lock-free
-// ConcurrentCounter for counts, an atomic CAS-max array for sizes) instead
-// of filling private tables merged serially. Both updates are commutative
-// (integer sums, floating max), so the result is identical to the serial
-// scan at any thread count. The chronological re-access scans below stay
-// serial by design: they carry last-access state across the sorted stream.
-
-// Below this many rows the serial loop wins; also keeps tiny-trace tests
-// on the historically exercised path.
-constexpr size_t kParallelScanThreshold = 65536;
-constexpr size_t kScanGrain = 16384;
-
-// Order-preserving bijection double -> uint64: a >= b (finite, non-NaN)
-// iff Key(a) >= Key(b), so integer CAS-max implements floating max.
-uint64_t MonotoneKey(double value) {
-  uint64_t bits = std::bit_cast<uint64_t>(value);
-  return bits ^ ((bits >> 63) != 0 ? ~0ull : 0x8000000000000000ull);
-}
-
-double MonotoneKeyToDouble(uint64_t key) {
-  uint64_t bits =
-      key ^ ((key >> 63) != 0 ? 0x8000000000000000ull : ~0ull);
-  return std::bit_cast<double>(bits);
-}
-
-FilePopularity PopularityFromCounts(const std::vector<size_t>& counts) {
-  FilePopularity result;
-  result.frequencies.reserve(counts.size());
-  for (size_t count : counts) {
-    if (count == 0) continue;  // path only seen in the other direction
-    result.frequencies.push_back(static_cast<double>(count));
-    result.total_accesses += count;
-  }
-  result.distinct_files = result.frequencies.size();
-  std::sort(result.frequencies.begin(), result.frequencies.end(),
-            std::greater<double>());
-  result.zipf = stats::FitZipf(result.frequencies);
-  return result;
-}
 
 FilePopularity ComputePopularity(const trace::Trace& trace, bool use_output) {
   const std::vector<uint32_t>& ids =
       use_output ? trace.output_path_ids() : trace.input_path_ids();
-  const size_t path_count = trace.path_interner().size();
-  std::vector<size_t> counts(path_count, 0);
-  if (ids.size() >= kParallelScanThreshold && DefaultParallelism() > 1) {
-    // One shared lock-free table, all workers incrementing in place.
-    // Reserved for the full id population up front, so every Add() and the
-    // extraction below stay on the lock-free path.
-    ConcurrentCounter<uint32_t> shared(path_count);
-    ParallelFor(0, ids.size(), kScanGrain,
-                [&](size_t chunk_begin, size_t chunk_end) {
-                  for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                    if (ids[i] != kNoStringId) shared.Add(ids[i]);
-                  }
-                });
-    shared.ForEach([&](uint32_t id, uint64_t count) {
-      counts[id] = static_cast<size_t>(count);
-    });
-  } else {
-    for (uint32_t id : ids) {
-      if (id != kNoStringId) ++counts[id];
-    }
+  std::vector<size_t> counts(trace.path_interner().size(), 0);
+  for (uint32_t id : ids) {
+    if (id != kNoStringId) ++counts[id];
   }
   return PopularityFromCounts(counts);
 }
 
-/// Per-path (final) file size: the maximum bytes any job moved through the
-/// path, dense-indexed by path id; entries never touched stay negative.
-std::vector<double> FileSizesById(const trace::Trace& trace,
-                                  bool use_output) {
+/// File sizes as Figures 3/4 infer them from per-job I/O.
+struct FileSizes {
+  /// Per-path (final) size: the maximum bytes any job moved through the
+  /// path, dense-indexed by path id; entries never touched stay negative.
+  std::vector<double> by_path;
+  /// Per job with a path, the final size of its file, ascending.
+  std::vector<double> by_job;
+};
+
+FileSizes GatherFileSizes(const trace::Trace& trace, bool use_output) {
   const std::vector<uint32_t>& ids =
       use_output ? trace.output_path_ids() : trace.input_path_ids();
   const std::vector<trace::JobRecord>& jobs = trace.jobs();
-  const size_t path_count = trace.path_interner().size();
-  std::vector<double> file_sizes(path_count, -1.0);
-  if (jobs.size() >= kParallelScanThreshold && DefaultParallelism() > 1) {
-    // Shared CAS-max table: doubles mapped through an order-preserving
-    // uint64 key so the per-path max is one atomic compare-exchange loop.
-    // Max is commutative, so the result matches the serial scan exactly.
-    auto slots = std::make_unique<std::atomic<uint64_t>[]>(path_count);
-    const uint64_t never = MonotoneKey(-1.0);
-    for (size_t i = 0; i < path_count; ++i) {
-      slots[i].store(never, std::memory_order_relaxed);
-    }
-    ParallelFor(0, jobs.size(), kScanGrain,
-                [&](size_t chunk_begin, size_t chunk_end) {
-                  for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                    uint32_t id = ids[i];
-                    if (id == kNoStringId) continue;
-                    uint64_t key = MonotoneKey(
-                        use_output ? jobs[i].output_bytes
-                                   : jobs[i].input_bytes);
-                    uint64_t seen =
-                        slots[id].load(std::memory_order_relaxed);
-                    while (seen < key &&
-                           !slots[id].compare_exchange_weak(
-                               seen, key, std::memory_order_relaxed)) {
-                    }
-                  }
-                });
-    for (size_t i = 0; i < path_count; ++i) {
-      file_sizes[i] = MonotoneKeyToDouble(
-          slots[i].load(std::memory_order_relaxed));
-    }
-  } else {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      uint32_t id = ids[i];
-      if (id == kNoStringId) continue;
-      double bytes =
-          use_output ? jobs[i].output_bytes : jobs[i].input_bytes;
-      file_sizes[id] = std::max(file_sizes[id], bytes);
-    }
+  FileSizes sizes;
+  sizes.by_path.assign(trace.path_interner().size(), -1.0);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    uint32_t id = ids[i];
+    if (id == kNoStringId) continue;
+    double bytes = use_output ? jobs[i].output_bytes : jobs[i].input_bytes;
+    sizes.by_path[id] = std::max(sizes.by_path[id], bytes);
   }
-  return file_sizes;
+  sizes.by_job.reserve(jobs.size());
+  for (uint32_t id : ids) {
+    if (id != kNoStringId) sizes.by_job.push_back(sizes.by_path[id]);
+  }
+  std::sort(sizes.by_job.begin(), sizes.by_job.end());
+  return sizes;
 }
 
 }  // namespace
@@ -157,6 +74,21 @@ DataSizeCdfs ComputeDataSizeCdfs(const trace::Trace& trace) {
                       stats::EmpiricalCdf(std::move(output))};
 }
 
+FilePopularity PopularityFromCounts(const std::vector<size_t>& counts) {
+  FilePopularity result;
+  result.frequencies.reserve(counts.size());
+  for (size_t count : counts) {
+    if (count == 0) continue;  // path only seen in the other direction
+    result.frequencies.push_back(static_cast<double>(count));
+    result.total_accesses += count;
+  }
+  result.distinct_files = result.frequencies.size();
+  std::sort(result.frequencies.begin(), result.frequencies.end(),
+            std::greater<double>());
+  result.zipf = stats::FitZipf(result.frequencies);
+  return result;
+}
+
 FilePopularity ComputeInputPopularity(const trace::Trace& trace) {
   return ComputePopularity(trace, /*use_output=*/false);
 }
@@ -168,27 +100,18 @@ FilePopularity ComputeOutputPopularity(const trace::Trace& trace) {
 SizeSkewCurve ComputeSizeSkew(const trace::Trace& trace, bool use_output,
                               size_t curve_points) {
   SizeSkewCurve curve;
-  // Per-file stored size, then per-job the (final) size of its file.
-  std::vector<double> file_sizes = FileSizesById(trace, use_output);
-  const std::vector<uint32_t>& ids =
-      use_output ? trace.output_path_ids() : trace.input_path_ids();
-  std::vector<double> job_file_sizes;
-  job_file_sizes.reserve(trace.size());
-  for (uint32_t id : ids) {
-    if (id == kNoStringId) continue;
-    job_file_sizes.push_back(file_sizes[id]);
-  }
+  const FileSizes sizes = GatherFileSizes(trace, use_output);
+  const std::vector<double>& job_file_sizes = sizes.by_job;
   curve.jobs_with_paths = job_file_sizes.size();
   if (job_file_sizes.empty()) return curve;
 
   std::vector<double> stored;
-  stored.reserve(file_sizes.size());
-  for (double bytes : file_sizes) {
+  stored.reserve(sizes.by_path.size());
+  for (double bytes : sizes.by_path) {
     if (bytes < 0.0) continue;
     stored.push_back(bytes);
     curve.total_stored_bytes += bytes;
   }
-  std::sort(job_file_sizes.begin(), job_file_sizes.end());
   std::sort(stored.begin(), stored.end());
   std::vector<double> stored_cumulative(stored.size());
   double running = 0.0;
@@ -227,25 +150,15 @@ SizeSkewCurve ComputeSizeSkew(const trace::Trace& trace, bool use_output,
 double StoredBytesFractionForJobCoverage(const trace::Trace& trace,
                                          double job_fraction,
                                          bool use_output) {
-  // Per-file (final) sizes and, per job, the size of the file it accessed.
-  std::vector<double> file_sizes = FileSizesById(trace, use_output);
-  const std::vector<uint32_t>& ids =
-      use_output ? trace.output_path_ids() : trace.input_path_ids();
-  std::vector<double> job_file_sizes;
-  job_file_sizes.reserve(trace.size());
-  for (uint32_t id : ids) {
-    if (id == kNoStringId) continue;
-    job_file_sizes.push_back(file_sizes[id]);
-  }
-  if (job_file_sizes.empty()) return 0.0;
+  const FileSizes sizes = GatherFileSizes(trace, use_output);
+  if (sizes.by_job.empty()) return 0.0;
 
   // Size threshold S below which `job_fraction` of accesses fall ...
-  std::sort(job_file_sizes.begin(), job_file_sizes.end());
-  double threshold = stats::QuantileSorted(job_file_sizes, job_fraction);
+  double threshold = stats::QuantileSorted(sizes.by_job, job_fraction);
   // ... and the share of stored bytes held by files of size <= S.
   double covered_bytes = 0.0;
   double total_bytes = 0.0;
-  for (double bytes : file_sizes) {
+  for (double bytes : sizes.by_path) {
     if (bytes < 0.0) continue;
     total_bytes += bytes;
     if (bytes <= threshold) covered_bytes += bytes;
@@ -280,18 +193,32 @@ ReaccessIntervals ComputeReaccessIntervals(const trace::Trace& trace) {
                            stats::EmpiricalCdf(std::move(output_input))};
 }
 
-ReaccessFractions ComputeReaccessFractions(const trace::Trace& trace) {
+ReaccessFractions ReaccessFractionsFromHits(size_t jobs_with_paths,
+                                            size_t input_hits,
+                                            size_t output_hits) {
   ReaccessFractions result;
+  result.jobs_with_paths = jobs_with_paths;
+  if (jobs_with_paths > 0) {
+    result.input_reaccess = static_cast<double>(input_hits) /
+                            static_cast<double>(jobs_with_paths);
+    result.output_reaccess = static_cast<double>(output_hits) /
+                             static_cast<double>(jobs_with_paths);
+  }
+  return result;
+}
+
+ReaccessFractions ComputeReaccessFractions(const trace::Trace& trace) {
   const size_t path_count = trace.path_interner().size();
   std::vector<uint8_t> seen_inputs(path_count, 0);
   std::vector<uint8_t> seen_outputs(path_count, 0);
+  size_t jobs_with_paths = 0;
   size_t input_hits = 0;
   size_t output_hits = 0;
   // Chronological scan; for each job, was its input path pre-existing?
   for (const auto& access : storage::ExtractAccesses(trace)) {
     uint32_t id = access.path_id;
     if (access.kind == storage::AccessKind::kRead) {
-      ++result.jobs_with_paths;
+      ++jobs_with_paths;
       // Count the strongest provenance: output-of-an-earlier-job wins over
       // input-seen-before (matches Figure 6's two stacked categories).
       if (seen_outputs[id]) {
@@ -304,13 +231,7 @@ ReaccessFractions ComputeReaccessFractions(const trace::Trace& trace) {
       seen_outputs[id] = 1;
     }
   }
-  if (result.jobs_with_paths > 0) {
-    result.input_reaccess = static_cast<double>(input_hits) /
-                            static_cast<double>(result.jobs_with_paths);
-    result.output_reaccess = static_cast<double>(output_hits) /
-                             static_cast<double>(result.jobs_with_paths);
-  }
-  return result;
+  return ReaccessFractionsFromHits(jobs_with_paths, input_hits, output_hits);
 }
 
 }  // namespace swim::core

@@ -35,6 +35,12 @@ struct FilePopularity {
 FilePopularity ComputeInputPopularity(const trace::Trace& trace);
 FilePopularity ComputeOutputPopularity(const trace::Trace& trace);
 
+/// The popularity derivation behind both of the above and the streaming
+/// analyzer: `counts` holds accesses per dense path id (zeros are paths
+/// never accessed in this direction and are skipped); the nonzero counts
+/// are sorted descending and Zipf-fitted.
+FilePopularity PopularityFromCounts(const std::vector<size_t>& counts);
+
 /// Access-vs-size skew (paper Figures 3/4): for each file-size threshold,
 /// the fraction of jobs touching files below it and the fraction of stored
 /// bytes those files hold.
@@ -81,6 +87,13 @@ struct ReaccessFractions {
   size_t jobs_with_paths = 0;
 };
 ReaccessFractions ComputeReaccessFractions(const trace::Trace& trace);
+
+/// The fractions from the chronological scan's tallies: of
+/// `jobs_with_paths` reads, `input_hits` found the path read before and
+/// `output_hits` found it written before (output provenance wins).
+ReaccessFractions ReaccessFractionsFromHits(size_t jobs_with_paths,
+                                            size_t input_hits,
+                                            size_t output_hits);
 
 }  // namespace swim::core
 

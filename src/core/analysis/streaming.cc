@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <sstream>
 
 #include "common/parallel.h"
 #include "common/units.h"
-#include "stats/correlation.h"
-#include "stats/fourier.h"
 
 namespace swim::core {
 namespace {
@@ -22,6 +18,12 @@ constexpr size_t kSketchGrain = 65536;
 
 std::string HotFileLabel(uint64_t key) {
   return "path#" + std::to_string(key);
+}
+
+/// One more access of dense id `id`, growing `counts` to the largest id seen.
+void Tally(std::vector<size_t>& counts, uint32_t id) {
+  if (id >= counts.size()) counts.resize(static_cast<size_t>(id) + 1, 0);
+  ++counts[id];
 }
 
 }  // namespace
@@ -42,6 +44,47 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
 void StreamingAnalyzer::SetMetadata(const trace::TraceMetadata& metadata) {
   metadata_ = metadata;
   metadata_set_ = true;
+}
+
+struct StreamingAnalyzer::Row {
+  double submit = 0.0;
+  double duration = 0.0;
+  double input_bytes = 0.0;
+  double shuffle_bytes = 0.0;
+  double output_bytes = 0.0;
+  double map_task_seconds = 0.0;
+  double reduce_task_seconds = 0.0;
+  int64_t map_tasks = 0;
+  int64_t reduce_tasks = 0;
+};
+
+const char* StreamingAnalyzer::RowViolation(const Row& row,
+                                            double prev_submit) {
+  const double values[7] = {row.submit,           row.duration,
+                            row.input_bytes,      row.shuffle_bytes,
+                            row.output_bytes,     row.map_task_seconds,
+                            row.reduce_task_seconds};
+  for (double v : values) {
+    if (!std::isfinite(v)) return "non-finite value";
+    if (v < 0.0) return "negative value";
+  }
+  if (row.map_tasks < 0 || row.reduce_tasks < 0) {
+    return "negative task count";
+  }
+  if (row.map_tasks == 0 && row.map_task_seconds > 0.0) {
+    return "map_task_seconds > 0 with zero map_tasks";
+  }
+  if (row.reduce_tasks == 0 && row.reduce_task_seconds > 0.0) {
+    return "reduce_task_seconds > 0 with zero reduce_tasks";
+  }
+  if (row.submit < prev_submit) {
+    return "submit time runs backwards (append not submit-ordered)";
+  }
+  return nullptr;
+}
+
+double StreamingAnalyzer::PreviousSubmit() const {
+  return jobs_ > 0 ? last_submit_ : -std::numeric_limits<double>::infinity();
 }
 
 void StreamingAnalyzer::EnsurePathTables(size_t path_count) {
@@ -69,24 +112,25 @@ void StreamingAnalyzer::PopWritesBefore(double time, uint64_t seq) {
   }
 }
 
-void StreamingAnalyzer::ObserveRowSerial(
-    double submit, double duration, double input_bytes, double shuffle_bytes,
-    double output_bytes, int64_t reduce_tasks, double map_task_seconds,
-    double reduce_task_seconds, uint32_t input_path_id,
-    uint32_t output_path_id) {
-  const uint64_t row = jobs_;
+void StreamingAnalyzer::ObserveRowSerial(const Row& row,
+                                         uint32_t input_path_id,
+                                         uint32_t output_path_id) {
+  const uint64_t seq = jobs_;
+  const double submit = row.submit;
   if (jobs_ == 0) first_submit_ = submit;
   last_submit_ = submit;
-  const double finish = submit + duration;
+  const double finish = submit + row.duration;
   if (finish > max_finish_) max_finish_ = finish;
 
   // Same expression shapes as the batch accumulators (TotalBytes is
   // (input + shuffle) + output, left-associated) so floating sums match
   // bit for bit.
-  const double total_bytes = input_bytes + shuffle_bytes + output_bytes;
-  const double task_seconds = map_task_seconds + reduce_task_seconds;
+  const double total_bytes =
+      row.input_bytes + row.shuffle_bytes + row.output_bytes;
+  const double task_seconds = row.map_task_seconds + row.reduce_task_seconds;
   bytes_moved_ += total_bytes;
-  if (reduce_tasks == 0 && shuffle_bytes == 0.0 && reduce_task_seconds == 0.0) {
+  if (row.reduce_tasks == 0 && row.shuffle_bytes == 0.0 &&
+      row.reduce_task_seconds == 0.0) {
     ++map_only_;
   }
   if (total_bytes < 10.0 * kGB) ++under_10gb_;
@@ -94,14 +138,14 @@ void StreamingAnalyzer::ObserveRowSerial(
   // Hourly series, bucketed exactly like Trace::HourlySeries.
   const auto hour =
       static_cast<size_t>((submit - first_submit_) / 3600.0);
-  if (hour >= hourly_jobs_.size()) {
-    hourly_jobs_.resize(hour + 1, 0.0);
-    hourly_bytes_.resize(hour + 1, 0.0);
-    hourly_task_seconds_.resize(hour + 1, 0.0);
+  if (hour >= hourly_.jobs_per_hour.size()) {
+    hourly_.jobs_per_hour.resize(hour + 1, 0.0);
+    hourly_.bytes_per_hour.resize(hour + 1, 0.0);
+    hourly_.task_seconds_per_hour.resize(hour + 1, 0.0);
   }
-  hourly_jobs_[hour] += 1.0;
-  hourly_bytes_[hour] += total_bytes;
-  hourly_task_seconds_[hour] += task_seconds;
+  hourly_.jobs_per_hour[hour] += 1.0;
+  hourly_.bytes_per_hour[hour] += total_bytes;
+  hourly_.task_seconds_per_hour[hour] += task_seconds;
 
   window_jobs_.Observe(submit, 1.0);
   window_bytes_.Observe(submit, total_bytes);
@@ -112,12 +156,12 @@ void StreamingAnalyzer::ObserveRowSerial(
     return a.seq > b.seq;
   };
   if (input_path_id != kNoStringId) {
-    input_popularity_.Add(input_path_id);
+    Tally(input_counts_, input_path_id);
     hot_inputs_.Add(input_path_id);
     EnsurePathTables(static_cast<size_t>(input_path_id) + 1);
     // Drain writes that the batch access stream orders before this read
     // (earlier time, or same time with an earlier stream position).
-    PopWritesBefore(submit, 2 * row);
+    PopWritesBefore(submit, 2 * seq);
     ++jobs_with_paths_;
     if (seen_outputs_[input_path_id]) {
       ++output_hits_;
@@ -135,9 +179,9 @@ void StreamingAnalyzer::ObserveRowSerial(
     last_read_[input_path_id] = submit;
   }
   if (output_path_id != kNoStringId) {
-    output_popularity_.Add(output_path_id);
+    Tally(output_counts_, output_path_id);
     EnsurePathTables(static_cast<size_t>(output_path_id) + 1);
-    pending_writes_.push_back(PendingWrite{finish, 2 * row + 1, output_path_id});
+    pending_writes_.push_back(PendingWrite{finish, 2 * seq + 1, output_path_id});
     std::push_heap(pending_writes_.begin(), pending_writes_.end(), after);
   }
   ++jobs_;
@@ -157,61 +201,31 @@ void StreamingAnalyzer::ObserveNameColumnar(const trace::ColumnarTraceView& view
   names_.ObserveWord(word_id, total_bytes, total_task_seconds);
 }
 
-Status StreamingAnalyzer::ValidateColumns(const trace::ColumnarTraceView& view,
-                                          size_t begin, size_t end) const {
-  const auto submits = view.submit_times();
-  const auto durations = view.durations();
-  const auto inputs = view.input_bytes();
-  const auto shuffles = view.shuffle_bytes();
-  const auto outputs = view.output_bytes();
-  const auto map_tasks = view.map_tasks();
-  const auto reduce_tasks = view.reduce_tasks();
-  const auto map_secs = view.map_task_seconds();
-  const auto reduce_secs = view.reduce_task_seconds();
-  const auto name_ids = view.name_ids();
-  const auto input_ids = view.input_path_ids();
-  const auto output_ids = view.output_path_ids();
-  auto bad = [&](size_t row, const std::string& what) {
-    return InvalidArgumentError("streaming batch row " + std::to_string(row) +
-                                ": " + what);
-  };
-  double prev_submit = jobs_ > 0 ? last_submit_
-                                 : -std::numeric_limits<double>::infinity();
-  for (size_t i = begin; i < end; ++i) {
-    // The same admission bar as ColumnarTraceView::Materialize: finite
-    // non-negative values and in-range dictionary ids, plus the streaming
-    // contract that submit times never run backwards.
-    const double values[7] = {submits[i],  durations[i],   inputs[i],
-                              shuffles[i], outputs[i],     map_secs[i],
-                              reduce_secs[i]};
-    for (double v : values) {
-      if (!std::isfinite(v)) return bad(i, "non-finite value");
-      if (v < 0.0) return bad(i, "negative value");
-    }
-    if (map_tasks[i] < 0 || reduce_tasks[i] < 0) {
-      return bad(i, "negative task count");
-    }
-    if (map_tasks[i] == 0 && map_secs[i] > 0.0) {
-      return bad(i, "map_task_seconds > 0 with zero map_tasks");
-    }
-    if (reduce_tasks[i] == 0 && reduce_secs[i] > 0.0) {
-      return bad(i, "reduce_task_seconds > 0 with zero reduce_tasks");
-    }
-    if (submits[i] < prev_submit) {
-      return bad(i, "submit time runs backwards (append not submit-ordered)");
-    }
-    prev_submit = submits[i];
-    if (name_ids[i] != kNoStringId && name_ids[i] >= view.name_count()) {
-      return bad(i, "name id out of dictionary range");
-    }
-    if (input_ids[i] != kNoStringId && input_ids[i] >= view.path_count()) {
-      return bad(i, "input path id out of dictionary range");
-    }
-    if (output_ids[i] != kNoStringId && output_ids[i] >= view.path_count()) {
-      return bad(i, "output path id out of dictionary range");
-    }
+template <typename RowAt>
+void StreamingAnalyzer::FoldSketches(size_t count, const RowAt& row_at) {
+  const size_t chunk_count = (count + kSketchGrain - 1) / kSketchGrain;
+  std::vector<stats::GkQuantileSketch> chunks(
+      4 * chunk_count, stats::GkQuantileSketch(options_.quantile_epsilon));
+  ParallelFor(
+      0, count, kSketchGrain,
+      [&](size_t chunk_begin, size_t chunk_end) {
+        stats::GkQuantileSketch* lane = &chunks[4 * (chunk_begin / kSketchGrain)];
+        for (size_t i = chunk_begin; i < chunk_end; ++i) {
+          const Row row = row_at(i);
+          lane[0].Add(row.input_bytes);
+          lane[1].Add(row.shuffle_bytes);
+          lane[2].Add(row.output_bytes);
+          lane[3].Add(row.duration);
+        }
+      },
+      options_.threads);
+  for (size_t c = 0; c < chunk_count; ++c) {
+    gk_input_.Merge(chunks[4 * c]);
+    gk_shuffle_.Merge(chunks[4 * c + 1]);
+    gk_output_.Merge(chunks[4 * c + 2]);
+    gk_duration_.Merge(chunks[4 * c + 3]);
   }
-  return Status::Ok();
+  ++batches_;
 }
 
 Status StreamingAnalyzer::ObserveColumns(const trace::ColumnarTraceView& view,
@@ -228,58 +242,61 @@ Status StreamingAnalyzer::ObserveColumns(const trace::ColumnarTraceView& view,
     if (!metadata_set_) SetMetadata(view.metadata());
   }
   if (begin == end) return Status::Ok();
-  // Validate the whole batch before touching any accumulator, so a corrupt
-  // append can never poison the analyzer's state.
-  SWIM_RETURN_IF_ERROR(ValidateColumns(view, begin, end));
 
   const auto submits = view.submit_times();
   const auto durations = view.durations();
   const auto inputs = view.input_bytes();
   const auto shuffles = view.shuffle_bytes();
   const auto outputs = view.output_bytes();
+  const auto map_tasks = view.map_tasks();
   const auto reduce_tasks = view.reduce_tasks();
   const auto map_secs = view.map_task_seconds();
   const auto reduce_secs = view.reduce_task_seconds();
   const auto name_ids = view.name_ids();
   const auto input_ids = view.input_path_ids();
   const auto output_ids = view.output_path_ids();
+  // Row k of this batch is view row begin + k.
+  auto row_at = [&](size_t k) {
+    const size_t i = begin + k;
+    return Row{submits[i],     durations[i], inputs[i],
+               shuffles[i],    outputs[i],   map_secs[i],
+               reduce_secs[i], map_tasks[i], reduce_tasks[i]};
+  };
+
+  // Validate the whole batch before touching any accumulator, so a corrupt
+  // append can never poison the analyzer's state. Dictionary ids may grow
+  // between calls; they are checked against the view's current sizes.
+  double prev_submit = PreviousSubmit();
+  for (size_t i = begin; i < end; ++i) {
+    const char* violation = RowViolation(row_at(i - begin), prev_submit);
+    if (violation == nullptr) {
+      if (name_ids[i] != kNoStringId && name_ids[i] >= view.name_count()) {
+        violation = "name id out of dictionary range";
+      } else if (input_ids[i] != kNoStringId &&
+                 input_ids[i] >= view.path_count()) {
+        violation = "input path id out of dictionary range";
+      } else if (output_ids[i] != kNoStringId &&
+                 output_ids[i] >= view.path_count()) {
+        violation = "output path id out of dictionary range";
+      }
+    }
+    if (violation != nullptr) {
+      return InvalidArgumentError("streaming batch row " + std::to_string(i) +
+                                  ": " + violation);
+    }
+    prev_submit = submits[i];
+  }
 
   EnsurePathTables(view.path_count());
   for (size_t i = begin; i < end; ++i) {
-    ObserveRowSerial(submits[i], durations[i], inputs[i], shuffles[i],
-                     outputs[i], reduce_tasks[i], map_secs[i], reduce_secs[i],
-                     input_ids[i], output_ids[i]);
+    ObserveRowSerial(row_at(i - begin), input_ids[i], output_ids[i]);
     if (name_ids[i] != kNoStringId) {
       ObserveNameColumnar(view, name_ids[i],
                           inputs[i] + shuffles[i] + outputs[i],
                           map_secs[i] + reduce_secs[i]);
     }
   }
-
-  // Parallel sketch build over fixed-size chunks, merged in chunk order.
-  const size_t rows = end - begin;
-  const size_t chunk_count = (rows + kSketchGrain - 1) / kSketchGrain;
-  std::vector<stats::GkQuantileSketch> chunks(
-      4 * chunk_count, stats::GkQuantileSketch(options_.quantile_epsilon));
-  ParallelFor(
-      0, rows, kSketchGrain,
-      [&](size_t chunk_begin, size_t chunk_end) {
-        stats::GkQuantileSketch* lane = &chunks[4 * (chunk_begin / kSketchGrain)];
-        for (size_t i = begin + chunk_begin; i < begin + chunk_end; ++i) {
-          lane[0].Add(inputs[i]);
-          lane[1].Add(shuffles[i]);
-          lane[2].Add(outputs[i]);
-          lane[3].Add(durations[i]);
-        }
-      },
-      options_.threads);
-  for (size_t c = 0; c < chunk_count; ++c) {
-    gk_input_.Merge(chunks[4 * c]);
-    gk_shuffle_.Merge(chunks[4 * c + 1]);
-    gk_output_.Merge(chunks[4 * c + 2]);
-    gk_duration_.Merge(chunks[4 * c + 3]);
-  }
-  ++batches_;
+  FoldSketches(end - begin, row_at);
   return Status::Ok();
 }
 
@@ -291,36 +308,27 @@ Status StreamingAnalyzer::ObserveJobs(Span<const trace::JobRecord> jobs) {
   mode_ = Mode::kJobs;
   if (jobs.empty()) return Status::Ok();
 
-  double prev_submit = jobs_ > 0 ? last_submit_
-                                 : -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < jobs.size(); ++i) {
+  auto row_at = [&](size_t i) {
     const trace::JobRecord& job = jobs[i];
-    const double values[7] = {job.submit_time,      job.duration,
-                              job.input_bytes,      job.shuffle_bytes,
-                              job.output_bytes,     job.map_task_seconds,
-                              job.reduce_task_seconds};
-    for (double v : values) {
-      if (!std::isfinite(v)) {
-        return InvalidArgumentError("streaming batch job " +
-                                    std::to_string(job.job_id) +
-                                    ": non-finite value");
-      }
-    }
-    std::string violation = trace::ValidateJobRecord(job);
-    if (!violation.empty()) {
+    return Row{job.submit_time,         job.duration,
+               job.input_bytes,         job.shuffle_bytes,
+               job.output_bytes,        job.map_task_seconds,
+               job.reduce_task_seconds, job.map_tasks,
+               job.reduce_tasks};
+  };
+
+  double prev_submit = PreviousSubmit();
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (const char* violation = RowViolation(row_at(i), prev_submit)) {
       return InvalidArgumentError("streaming batch job " +
-                                  std::to_string(job.job_id) + ": " +
+                                  std::to_string(jobs[i].job_id) + ": " +
                                   violation);
     }
-    if (job.submit_time < prev_submit) {
-      return InvalidArgumentError(
-          "streaming batch not in submit order at job " +
-          std::to_string(job.job_id));
-    }
-    prev_submit = job.submit_time;
+    prev_submit = jobs[i].submit_time;
   }
 
-  for (const trace::JobRecord& job : jobs) {
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const trace::JobRecord& job = jobs[i];
     // Intern in the trace index build's order — input path before output
     // path per job — so CSV-mode ids match the batch trace's ids exactly.
     const uint32_t input_id = job.input_path.empty()
@@ -329,36 +337,10 @@ Status StreamingAnalyzer::ObserveJobs(Span<const trace::JobRecord> jobs) {
     const uint32_t output_id = job.output_path.empty()
                                    ? kNoStringId
                                    : path_interner_.Intern(job.output_path);
-    ObserveRowSerial(job.submit_time, job.duration, job.input_bytes,
-                     job.shuffle_bytes, job.output_bytes, job.reduce_tasks,
-                     job.map_task_seconds, job.reduce_task_seconds, input_id,
-                     output_id);
+    ObserveRowSerial(row_at(i), input_id, output_id);
     names_.Observe(job.name, job.TotalBytes(), job.TotalTaskSeconds());
   }
-
-  const size_t rows = jobs.size();
-  const size_t chunk_count = (rows + kSketchGrain - 1) / kSketchGrain;
-  std::vector<stats::GkQuantileSketch> chunks(
-      4 * chunk_count, stats::GkQuantileSketch(options_.quantile_epsilon));
-  ParallelFor(
-      0, rows, kSketchGrain,
-      [&](size_t chunk_begin, size_t chunk_end) {
-        stats::GkQuantileSketch* lane = &chunks[4 * (chunk_begin / kSketchGrain)];
-        for (size_t i = chunk_begin; i < chunk_end; ++i) {
-          lane[0].Add(jobs[i].input_bytes);
-          lane[1].Add(jobs[i].shuffle_bytes);
-          lane[2].Add(jobs[i].output_bytes);
-          lane[3].Add(jobs[i].duration);
-        }
-      },
-      options_.threads);
-  for (size_t c = 0; c < chunk_count; ++c) {
-    gk_input_.Merge(chunks[4 * c]);
-    gk_shuffle_.Merge(chunks[4 * c + 1]);
-    gk_output_.Merge(chunks[4 * c + 2]);
-    gk_duration_.Merge(chunks[4 * c + 3]);
-  }
-  ++batches_;
+  FoldSketches(jobs.size(), row_at);
   return Status::Ok();
 }
 
@@ -392,27 +374,10 @@ StatusOr<StreamingReport> StreamingAnalyzer::Report(
   report.output_bytes = quantiles(gk_output_);
   report.duration = quantiles(gk_duration_);
 
-  auto popularity = [](const stats::OnlineZipf& tracker) {
-    stats::OnlineZipf::Snapshot snapshot = tracker.Fit();
-    FilePopularity pop;
-    pop.frequencies = std::move(snapshot.frequencies);
-    pop.zipf = snapshot.fit;
-    pop.distinct_files = snapshot.distinct_items;
-    pop.total_accesses = static_cast<size_t>(snapshot.total_accesses);
-    return pop;
-  };
-  report.input_popularity = popularity(input_popularity_);
-  report.output_popularity = popularity(output_popularity_);
-
-  report.reaccess_fractions.jobs_with_paths = jobs_with_paths_;
-  if (jobs_with_paths_ > 0) {
-    report.reaccess_fractions.input_reaccess =
-        static_cast<double>(input_hits_) /
-        static_cast<double>(jobs_with_paths_);
-    report.reaccess_fractions.output_reaccess =
-        static_cast<double>(output_hits_) /
-        static_cast<double>(jobs_with_paths_);
-  }
+  report.input_popularity = PopularityFromCounts(input_counts_);
+  report.output_popularity = PopularityFromCounts(output_counts_);
+  report.reaccess_fractions =
+      ReaccessFractionsFromHits(jobs_with_paths_, input_hits_, output_hits_);
   report.reaccess_p75_interval =
       gk_reaccess_in_.empty() ? -1.0 : gk_reaccess_in_.Quantile(0.75);
 
@@ -421,24 +386,15 @@ StatusOr<StreamingReport> StreamingAnalyzer::Report(
   // submission are genuine zero buckets the batch series also carries).
   const size_t hours =
       static_cast<size_t>(report.summary.span_seconds / 3600.0) + 1;
-  auto padded = [&](const std::vector<double>& series) {
-    std::vector<double> out = series;
-    if (out.size() < hours) out.resize(hours, 0.0);
-    return out;
-  };
-  const std::vector<double> jobs_series = padded(hourly_jobs_);
-  const std::vector<double> bytes_series = padded(hourly_bytes_);
-  const std::vector<double> task_series = padded(hourly_task_seconds_);
-  report.burstiness =
-      BurstinessReport{stats::BurstinessProfile(jobs_series),
-                       stats::BurstinessProfile(bytes_series),
-                       stats::BurstinessProfile(task_series)};
-  stats::CorrelationMatrix matrix =
-      stats::PearsonMatrix({jobs_series, bytes_series, task_series});
-  report.correlations.jobs_bytes = matrix.at(0, 1);
-  report.correlations.jobs_task_seconds = matrix.at(0, 2);
-  report.correlations.bytes_task_seconds = matrix.at(1, 2);
-  report.diurnal_strength = stats::PeriodStrength(jobs_series, /*period=*/24.0);
+  SubmissionSeries series = hourly_;
+  for (std::vector<double>* column :
+       {&series.jobs_per_hour, &series.bytes_per_hour,
+        &series.task_seconds_per_hour}) {
+    if (column->size() < hours) column->resize(hours, 0.0);
+  }
+  report.burstiness = ComputeBurstiness(series);
+  report.correlations = ComputeSeriesCorrelations(series);
+  report.diurnal_strength = DiurnalStrength(series.jobs_per_hour);
 
   report.names = names_.Report();
   report.fraction_under_10gb =
@@ -467,131 +423,6 @@ StatusOr<StreamingReport> StreamingAnalyzer::Report(
       window_task_seconds_.PeakToMedian();
   report.window.live_hours = window_jobs_.Window().size();
   return report;
-}
-
-std::string FormatStreamingReport(const StreamingReport& report) {
-  std::ostringstream os;
-  char line[256];
-  os << "=== Workload: " << report.summary.name << " (streaming) ===\n";
-  std::snprintf(line, sizeof(line),
-                "jobs=%s  bytes_moved=%s  span=%s  machines=%d\n",
-                FormatCount(report.summary.jobs).c_str(),
-                FormatBytes(report.summary.bytes_moved).c_str(),
-                FormatDuration(report.summary.span_seconds).c_str(),
-                report.summary.machines);
-  os << line;
-  std::snprintf(line, sizeof(line),
-                "batches=%zu  quantile sketch eps=%.2f%% of ranks\n",
-                report.batches, 100.0 * report.quantile_epsilon);
-  os << line;
-
-  os << "\n-- Data access (sec. 4) --\n";
-  auto size_row = [&](const char* label, const StreamingQuantiles& q) {
-    std::snprintf(line, sizeof(line),
-                  "%-8s p25=%-9s p50=%-9s p75=%-9s p90=%-9s p99=%s\n", label,
-                  FormatBytes(q.p25).c_str(), FormatBytes(q.p50).c_str(),
-                  FormatBytes(q.p75).c_str(), FormatBytes(q.p90).c_str(),
-                  FormatBytes(q.p99).c_str());
-    os << line;
-  };
-  os << "per-job size quantiles (GK sketch):\n";
-  size_row("  input", report.input_bytes);
-  size_row("  shuffle", report.shuffle_bytes);
-  size_row("  output", report.output_bytes);
-  std::snprintf(line, sizeof(line),
-                "  duration p25=%-9s p50=%-9s p75=%-9s p99=%s\n",
-                FormatDuration(report.duration.p25).c_str(),
-                FormatDuration(report.duration.p50).c_str(),
-                FormatDuration(report.duration.p75).c_str(),
-                FormatDuration(report.duration.p99).c_str());
-  os << line;
-  if (report.input_popularity.distinct_files > 0) {
-    std::snprintf(line, sizeof(line),
-                  "input file popularity: %zu files, Zipf slope=%.2f "
-                  "(r2=%.2f)\n",
-                  report.input_popularity.distinct_files,
-                  report.input_popularity.zipf.slope,
-                  report.input_popularity.zipf.r_squared);
-    os << line;
-    std::snprintf(line, sizeof(line),
-                  "re-access: %.0f%% of jobs read pre-existing inputs, "
-                  "%.0f%% read pre-existing outputs\n",
-                  100 * report.reaccess_fractions.input_reaccess,
-                  100 * report.reaccess_fractions.output_reaccess);
-    os << line;
-    if (report.reaccess_p75_interval >= 0.0) {
-      std::snprintf(line, sizeof(line),
-                    "75%% of input re-accesses within %s\n",
-                    FormatDuration(report.reaccess_p75_interval).c_str());
-      os << line;
-    }
-    if (!report.hot_inputs.empty()) {
-      os << "hot inputs (space-saving): ";
-      for (const auto& hot : report.hot_inputs) {
-        std::snprintf(line, sizeof(line), "%s=%llu(+/-%llu) ",
-                      hot.path.c_str(),
-                      static_cast<unsigned long long>(hot.count),
-                      static_cast<unsigned long long>(hot.error));
-        os << line;
-      }
-      os << "\n";
-    }
-  } else {
-    os << "(no file paths in this trace)\n";
-  }
-
-  os << "\n-- Temporal (sec. 5) --\n";
-  std::snprintf(line, sizeof(line),
-                "burstiness peak:median  jobs=%.0f:1  bytes=%.0f:1  "
-                "task-secs=%.0f:1\n",
-                report.burstiness.jobs.PeakToMedian(),
-                report.burstiness.bytes.PeakToMedian(),
-                report.burstiness.task_seconds.PeakToMedian());
-  os << line;
-  std::snprintf(line, sizeof(line),
-                "window(%zuh live) peak:median  jobs=%.0f:1  bytes=%.0f:1  "
-                "task-secs=%.0f:1\n",
-                report.window.live_hours, report.window.jobs_peak_to_median,
-                report.window.bytes_peak_to_median,
-                report.window.task_seconds_peak_to_median);
-  os << line;
-  std::snprintf(line, sizeof(line),
-                "correlations: jobs-bytes=%.2f jobs-compute=%.2f "
-                "bytes-compute=%.2f   diurnal=%.2f\n",
-                report.correlations.jobs_bytes,
-                report.correlations.jobs_task_seconds,
-                report.correlations.bytes_task_seconds,
-                report.diurnal_strength);
-  os << line;
-
-  os << "\n-- Compute (sec. 6) --\n";
-  if (report.names.named_jobs > 0) {
-    os << "top job-name words (by jobs): ";
-    size_t shown = 0;
-    for (const auto& w : report.names.words) {
-      if (shown++ >= 5) break;
-      std::snprintf(line, sizeof(line), "%s=%.0f%% ", w.word.c_str(),
-                    100 * w.by_jobs);
-      os << line;
-    }
-    os << "\n";
-    std::snprintf(line, sizeof(line),
-                  "framework share of jobs: Hive=%.0f%% Pig=%.0f%% "
-                  "Oozie=%.0f%% Native=%.0f%%\n",
-                  100 * report.names.framework_by_jobs[0],
-                  100 * report.names.framework_by_jobs[1],
-                  100 * report.names.framework_by_jobs[2],
-                  100 * report.names.framework_by_jobs[3]);
-    os << line;
-  } else {
-    os << "(no job names in this trace)\n";
-  }
-  std::snprintf(line, sizeof(line),
-                "%.0f%% of jobs < 10GB total data (exact streaming count; "
-                "k-means needs a batch pass)\n",
-                100 * report.fraction_under_10gb);
-  os << line;
-  return os.str();
 }
 
 }  // namespace swim::core

@@ -15,7 +15,6 @@
 #include "stats/sketch/gk_quantile.h"
 #include "stats/sketch/sliding_window.h"
 #include "stats/sketch/space_saving.h"
-#include "stats/sketch/zipf_online.h"
 #include "trace/columnar.h"
 #include "trace/job_record.h"
 #include "trace/summary.h"
@@ -41,12 +40,16 @@ namespace swim::core {
 //   job-name / framework shares
 //   under-10GB job fraction
 //
-// Every exact stage performs the identical operations in the identical
-// order as its batch counterpart, so those report fields match the batch
-// report bit for bit on the same rows (pinned by streaming_test). Sketch
-// stages answer within the configured rank epsilon of the SortedStats
-// oracle. k-means classification inherently needs a batch pass and is the
-// one batch stage without a streaming equivalent.
+// The fold does only the incremental accumulation — per-path access
+// counts, the hourly series, re-access hit tallies, name shares. Report()
+// hands those accumulators to the batch stages' own derivations
+// (PopularityFromCounts, ReaccessFractionsFromHits, the series overloads
+// of ComputeBurstiness / ComputeSeriesCorrelations / DiurnalStrength,
+// JobNameAccumulator), so the exact report fields match the batch report
+// bit for bit on the same rows (pinned by streaming_test). Sketch stages
+// answer within the configured rank epsilon of the SortedStats oracle.
+// k-means classification inherently needs a batch pass and is the one
+// batch stage without a streaming equivalent.
 //
 // Determinism: exact accumulators run serially in row order; GK sketches
 // are built per fixed-size row chunk in parallel and merged in chunk order
@@ -153,25 +156,34 @@ class StreamingAnalyzer {
  private:
   enum class Mode { kUnset, kColumnar, kJobs };
 
+  /// One job's scalar columns, as either input mode supplies them.
+  struct Row;
+
   struct PendingWrite {
     double time = 0.0;
     uint64_t seq = 0;
     uint32_t path_id = 0;
   };
 
-  Status ValidateColumns(const trace::ColumnarTraceView& view, size_t begin,
-                         size_t end) const;
+  /// The admission bar every streamed row must clear, in either input
+  /// mode: the same as ColumnarTraceView::Materialize (finite non-negative
+  /// values, task seconds only with tasks), plus the streaming contract
+  /// that submit times never run backwards. nullptr when admissible.
+  static const char* RowViolation(const Row& row, double prev_submit);
+  /// Submit time the next row must not precede.
+  double PreviousSubmit() const;
   void EnsurePathTables(size_t path_count);
   void PopWritesBefore(double time, uint64_t seq);
   /// The shared exact per-row update (both modes reduce to these scalars).
-  void ObserveRowSerial(double submit, double duration, double input_bytes,
-                        double shuffle_bytes, double output_bytes,
-                        int64_t reduce_tasks, double map_task_seconds,
-                        double reduce_task_seconds, uint32_t input_path_id,
+  void ObserveRowSerial(const Row& row, uint32_t input_path_id,
                         uint32_t output_path_id);
   void ObserveNameColumnar(const trace::ColumnarTraceView& view,
                            uint32_t name_id, double total_bytes,
                            double total_task_seconds);
+  /// Folds rows [0, count) into the GK sketches: per fixed-size chunk in
+  /// parallel, merged in chunk order. Counts the batch.
+  template <typename RowAt>
+  void FoldSketches(size_t count, const RowAt& row_at);
 
   StreamingOptions options_;
   Mode mode_ = Mode::kUnset;
@@ -198,13 +210,12 @@ class StreamingAnalyzer {
 
   // Exact hourly series, grown in submit order; padded to the full span
   // at Report() time exactly as Trace::HourlySeries sizes it.
-  std::vector<double> hourly_jobs_;
-  std::vector<double> hourly_bytes_;
-  std::vector<double> hourly_task_seconds_;
+  SubmissionSeries hourly_;
 
-  // Exact popularity + sketch-backed hot files.
-  stats::OnlineZipf input_popularity_;
-  stats::OnlineZipf output_popularity_;
+  // Exact per-path access counts (dense by path id, grown to the largest
+  // id seen) + sketch-backed hot files.
+  std::vector<size_t> input_counts_;
+  std::vector<size_t> output_counts_;
   stats::SpaceSavingSketch hot_inputs_;
 
   // Sliding windows (bounded memory view of the recent stream).
@@ -229,14 +240,14 @@ class StreamingAnalyzer {
   JobNameAccumulator names_;
   std::vector<uint32_t> word_of_name_;  // columnar memo: name id -> word id
 
-  // CSV-mode interners (first-appearance order, matching the trace's lazy
-  // index build: input path before output path per job).
+  // CSV-mode path interner (first-appearance order, matching the trace's
+  // lazy index build: input path before output path per job).
   StringInterner path_interner_;
-  StringInterner name_interner_;
 };
 
 /// Human-readable rendering, section for section the streaming analogue of
-/// FormatReport (exact lines use the same formats).
+/// FormatReport. Defined beside FormatReport in workload_report.cc: the
+/// lines both reports print are written by the same code.
 std::string FormatStreamingReport(const StreamingReport& report);
 
 }  // namespace swim::core

@@ -24,19 +24,19 @@ std::vector<double> WeekWindow(const std::vector<double>& series,
                              series.begin() + end);
 }
 
-BurstinessReport ComputeBurstiness(const trace::Trace& trace) {
-  SubmissionSeries series = ComputeSubmissionSeries(trace);
+BurstinessReport ComputeBurstiness(const SubmissionSeries& series) {
   return BurstinessReport{
       stats::BurstinessProfile(series.jobs_per_hour),
       stats::BurstinessProfile(series.bytes_per_hour),
       stats::BurstinessProfile(series.task_seconds_per_hour)};
 }
 
-SeriesCorrelations ComputeSeriesCorrelations(const trace::Trace& trace) {
-  SubmissionSeries series = ComputeSubmissionSeries(trace);
-  // One all-pairs kernel call (Figure 9's shape); each pair runs the same
-  // PearsonCorrelation as before, so the values are bit-identical to the
-  // old three explicit calls.
+BurstinessReport ComputeBurstiness(const trace::Trace& trace) {
+  return ComputeBurstiness(ComputeSubmissionSeries(trace));
+}
+
+SeriesCorrelations ComputeSeriesCorrelations(const SubmissionSeries& series) {
+  // One all-pairs kernel call (Figure 9's shape).
   stats::CorrelationMatrix matrix = stats::PearsonMatrix(
       {series.jobs_per_hour, series.bytes_per_hour,
        series.task_seconds_per_hour});
@@ -47,8 +47,16 @@ SeriesCorrelations ComputeSeriesCorrelations(const trace::Trace& trace) {
   return result;
 }
 
+SeriesCorrelations ComputeSeriesCorrelations(const trace::Trace& trace) {
+  return ComputeSeriesCorrelations(ComputeSubmissionSeries(trace));
+}
+
+double DiurnalStrength(const std::vector<double>& jobs_per_hour) {
+  return stats::PeriodStrength(jobs_per_hour, /*period=*/24.0);
+}
+
 double DiurnalStrength(const trace::Trace& trace) {
-  return stats::PeriodStrength(trace.HourlyJobCounts(), /*period=*/24.0);
+  return DiurnalStrength(trace.HourlyJobCounts());
 }
 
 }  // namespace swim::core

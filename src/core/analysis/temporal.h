@@ -32,6 +32,10 @@ struct BurstinessReport {
   stats::BurstinessProfile task_seconds;
 };
 
+/// Each temporal derivation below has one implementation, over the hourly
+/// series; the trace overloads build the series first, and the streaming
+/// analyzer passes the series it folds incrementally.
+BurstinessReport ComputeBurstiness(const SubmissionSeries& series);
 BurstinessReport ComputeBurstiness(const trace::Trace& trace);
 
 /// Pairwise Pearson correlations of the hourly submission series (Figure
@@ -44,12 +48,14 @@ struct SeriesCorrelations {
   double bytes_task_seconds = 0.0;
 };
 
+SeriesCorrelations ComputeSeriesCorrelations(const SubmissionSeries& series);
 SeriesCorrelations ComputeSeriesCorrelations(const trace::Trace& trace);
 
 /// Diurnal (24-hour) signal strength of job submissions in [0, 1]: the
 /// fraction of non-DC spectral power at the daily frequency. Supports the
 /// paper's Figure 7 observation that some workloads (FB-2010 submissions,
 /// CC-e utilization) show visible diurnal patterns.
+double DiurnalStrength(const std::vector<double>& jobs_per_hour);
 double DiurnalStrength(const trace::Trace& trace);
 
 }  // namespace swim::core

@@ -43,15 +43,4 @@ ComputeFileSizes(const std::vector<FileAccess>& accesses) {
   return sizes;
 }
 
-std::vector<double> ComputeFileSizesById(
-    const std::vector<FileAccess>& accesses, size_t path_count) {
-  std::vector<double> sizes(path_count, 0.0);
-  for (const auto& access : accesses) {
-    if (access.path_id == kNoStringId) continue;
-    double& size = sizes[access.path_id];
-    size = std::max(size, access.bytes);
-  }
-  return sizes;
-}
-
 }  // namespace swim::storage

@@ -40,12 +40,6 @@ std::unordered_map<std::string, double, TransparentStringHash,
                    TransparentStringEq>
 ComputeFileSizes(const std::vector<FileAccess>& accesses);
 
-/// Id-keyed variant for accesses that carry interned path ids: returns a
-/// dense table indexed by path id (`path_count` == interner size; accesses
-/// without an id are skipped). Entries never accessed stay 0.
-std::vector<double> ComputeFileSizesById(
-    const std::vector<FileAccess>& accesses, size_t path_count);
-
 }  // namespace swim::storage
 
 #endif  // SWIM_STORAGE_ACCESS_STREAM_H_

@@ -1,6 +1,6 @@
 // Tests for the streaming sketch layer: GK quantiles against the
 // SortedStats oracle, P2 convergence, Space-Saving against exact counts,
-// sliding-window exactness, and the online Zipf fit against the batch fit.
+// and sliding-window exactness.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "stats/sketch/p2_quantile.h"
 #include "stats/sketch/sliding_window.h"
 #include "stats/sketch/space_saving.h"
-#include "stats/sketch/zipf_online.h"
 #include "stats/zipf.h"
 
 namespace swim::stats {
@@ -349,56 +348,6 @@ TEST(SlidingWindowTest, PeakToMedianMatchesBatchProfileOnWindow) {
   }
   BurstinessProfile batch(reference);
   EXPECT_DOUBLE_EQ(window.PeakToMedian(), batch.PeakToMedian());
-}
-
-// --- Online Zipf ----------------------------------------------------------
-
-TEST(OnlineZipfTest, MatchesBatchFitExactly) {
-  // The streaming tracker must run the identical operations as the batch
-  // popularity analysis: nonzero counts in id order, sorted descending,
-  // FitZipf. Byte-identical outputs, not merely close ones.
-  Pcg32 rng(5, 9);
-  OnlineZipf tracker;
-  std::vector<uint64_t> counts(500, 0);
-  for (int i = 0; i < 100000; ++i) {
-    const uint32_t id =
-        static_cast<uint32_t>(rng.NextBounded(counts.size()) *
-                              rng.NextDouble() * rng.NextDouble());
-    tracker.Add(id);
-    ++counts[id];
-  }
-  // Batch reference: identical op sequence.
-  std::vector<double> frequencies;
-  for (uint64_t c : counts) {
-    if (c > 0) frequencies.push_back(static_cast<double>(c));
-  }
-  std::sort(frequencies.begin(), frequencies.end(), std::greater<double>());
-  ZipfFitResult batch = FitZipf(frequencies);
-
-  OnlineZipf::Snapshot snapshot = tracker.Fit();
-  ASSERT_EQ(snapshot.frequencies.size(), frequencies.size());
-  for (size_t i = 0; i < frequencies.size(); ++i) {
-    ASSERT_EQ(snapshot.frequencies[i], frequencies[i]) << i;
-  }
-  EXPECT_EQ(snapshot.fit.slope, batch.slope);
-  EXPECT_EQ(snapshot.fit.intercept, batch.intercept);
-  EXPECT_EQ(snapshot.fit.r_squared, batch.r_squared);
-  EXPECT_EQ(snapshot.total_accesses, 100000u);
-}
-
-TEST(OnlineZipfTest, MergeAddsCounts) {
-  OnlineZipf a;
-  OnlineZipf b;
-  a.Add(0, 5);
-  a.Add(3, 2);
-  b.Add(0, 1);
-  b.Add(7, 4);
-  a.Merge(b);
-  EXPECT_EQ(a.total(), 12u);
-  EXPECT_EQ(a.distinct(), 3u);
-  EXPECT_EQ(a.counts()[0], 6u);
-  EXPECT_EQ(a.counts()[3], 2u);
-  EXPECT_EQ(a.counts()[7], 4u);
 }
 
 }  // namespace

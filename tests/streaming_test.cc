@@ -74,71 +74,101 @@ trace::Trace Prefix(const trace::Trace& full, size_t rows) {
 
 // --- Exact-stage identity with the batch pipeline -------------------------
 
-TEST(StreamingTest, ExactStagesMatchBatchBitForBit) {
-  const trace::Trace trace = GenerateWorkload("CC-b", 12000);
-  auto batch = AnalyzeWorkload(trace);
-  ASSERT_TRUE(batch.ok());
-  const trace::ColumnarTraceView view = ViewOf(trace);
-  const StreamingReport streaming = StreamAll(view);
+void ExpectPopularityEqual(const FilePopularity& streaming,
+                           const FilePopularity& batch) {
+  EXPECT_EQ(streaming.distinct_files, batch.distinct_files);
+  EXPECT_EQ(streaming.total_accesses, batch.total_accesses);
+  ASSERT_EQ(streaming.frequencies.size(), batch.frequencies.size());
+  for (size_t i = 0; i < streaming.frequencies.size(); ++i) {
+    ASSERT_EQ(streaming.frequencies[i], batch.frequencies[i]) << i;
+  }
+  EXPECT_EQ(streaming.zipf.slope, batch.zipf.slope);
+  EXPECT_EQ(streaming.zipf.intercept, batch.zipf.intercept);
+  EXPECT_EQ(streaming.zipf.r_squared, batch.zipf.r_squared);
+}
 
+void ExpectExactStagesEqual(const StreamingReport& streaming,
+                            const WorkloadReport& batch) {
   // Table 1 accumulators.
-  EXPECT_EQ(streaming.summary.jobs, batch->summary.jobs);
-  EXPECT_EQ(streaming.summary.bytes_moved, batch->summary.bytes_moved);
-  EXPECT_EQ(streaming.summary.span_seconds, batch->summary.span_seconds);
-  EXPECT_EQ(streaming.summary.map_only_jobs, batch->summary.map_only_jobs);
-  EXPECT_EQ(streaming.summary.machines, batch->summary.machines);
+  EXPECT_EQ(streaming.summary.jobs, batch.summary.jobs);
+  EXPECT_EQ(streaming.summary.bytes_moved, batch.summary.bytes_moved);
+  EXPECT_EQ(streaming.summary.span_seconds, batch.summary.span_seconds);
+  EXPECT_EQ(streaming.summary.map_only_jobs, batch.summary.map_only_jobs);
+  EXPECT_EQ(streaming.summary.machines, batch.summary.machines);
 
   // File popularity: identical multiset of counts and identical fit.
-  ASSERT_EQ(streaming.input_popularity.frequencies.size(),
-            batch->input_popularity.frequencies.size());
-  for (size_t i = 0; i < streaming.input_popularity.frequencies.size(); ++i) {
-    ASSERT_EQ(streaming.input_popularity.frequencies[i],
-              batch->input_popularity.frequencies[i]);
-  }
-  EXPECT_EQ(streaming.input_popularity.zipf.slope,
-            batch->input_popularity.zipf.slope);
-  EXPECT_EQ(streaming.input_popularity.zipf.r_squared,
-            batch->input_popularity.zipf.r_squared);
-  EXPECT_EQ(streaming.output_popularity.zipf.slope,
-            batch->output_popularity.zipf.slope);
-  EXPECT_EQ(streaming.output_popularity.total_accesses,
-            batch->output_popularity.total_accesses);
+  ExpectPopularityEqual(streaming.input_popularity, batch.input_popularity);
+  ExpectPopularityEqual(streaming.output_popularity, batch.output_popularity);
 
   // Re-access fractions replicate the chronological scan exactly.
   EXPECT_EQ(streaming.reaccess_fractions.jobs_with_paths,
-            batch->reaccess_fractions.jobs_with_paths);
+            batch.reaccess_fractions.jobs_with_paths);
   EXPECT_EQ(streaming.reaccess_fractions.input_reaccess,
-            batch->reaccess_fractions.input_reaccess);
+            batch.reaccess_fractions.input_reaccess);
   EXPECT_EQ(streaming.reaccess_fractions.output_reaccess,
-            batch->reaccess_fractions.output_reaccess);
+            batch.reaccess_fractions.output_reaccess);
 
   // Temporal stages consume the identical padded hourly series.
   EXPECT_EQ(streaming.burstiness.jobs.PeakToMedian(),
-            batch->burstiness.jobs.PeakToMedian());
+            batch.burstiness.jobs.PeakToMedian());
   EXPECT_EQ(streaming.burstiness.bytes.PeakToMedian(),
-            batch->burstiness.bytes.PeakToMedian());
+            batch.burstiness.bytes.PeakToMedian());
   EXPECT_EQ(streaming.burstiness.task_seconds.PeakToMedian(),
-            batch->burstiness.task_seconds.PeakToMedian());
-  EXPECT_EQ(streaming.correlations.jobs_bytes, batch->correlations.jobs_bytes);
+            batch.burstiness.task_seconds.PeakToMedian());
+  EXPECT_EQ(streaming.correlations.jobs_bytes, batch.correlations.jobs_bytes);
   EXPECT_EQ(streaming.correlations.jobs_task_seconds,
-            batch->correlations.jobs_task_seconds);
+            batch.correlations.jobs_task_seconds);
   EXPECT_EQ(streaming.correlations.bytes_task_seconds,
-            batch->correlations.bytes_task_seconds);
-  EXPECT_EQ(streaming.diurnal_strength, batch->diurnal_strength);
+            batch.correlations.bytes_task_seconds);
+  EXPECT_EQ(streaming.diurnal_strength, batch.diurnal_strength);
 
   // Name shares go through the shared JobNameAccumulator.
-  EXPECT_EQ(streaming.names.named_jobs, batch->names.named_jobs);
-  ASSERT_EQ(streaming.names.words.size(), batch->names.words.size());
+  EXPECT_EQ(streaming.names.named_jobs, batch.names.named_jobs);
+  ASSERT_EQ(streaming.names.words.size(), batch.names.words.size());
   for (size_t i = 0; i < streaming.names.words.size(); ++i) {
-    ASSERT_EQ(streaming.names.words[i].word, batch->names.words[i].word);
-    ASSERT_EQ(streaming.names.words[i].by_jobs, batch->names.words[i].by_jobs);
+    ASSERT_EQ(streaming.names.words[i].word, batch.names.words[i].word);
+    ASSERT_EQ(streaming.names.words[i].by_jobs, batch.names.words[i].by_jobs);
     ASSERT_EQ(streaming.names.words[i].by_bytes,
-              batch->names.words[i].by_bytes);
+              batch.names.words[i].by_bytes);
   }
   for (size_t f = 0; f < trace::kFrameworkCount; ++f) {
     EXPECT_EQ(streaming.names.framework_by_jobs[f],
-              batch->names.framework_by_jobs[f]);
+              batch.names.framework_by_jobs[f]);
   }
+}
+
+TEST(StreamingTest, ExactStagesMatchBatchBitForBit) {
+  // Every paper workload, through both input modes. Between them they
+  // cover traces without paths (CC-a, FB-2009), with input paths only and
+  // no names (FB-2010), and with both (CC-b..CC-e).
+  size_t without_paths = 0;
+  size_t without_names = 0;
+  for (const std::string& name : workloads::PaperWorkloadNames()) {
+    SCOPED_TRACE(name);
+    const trace::Trace trace = GenerateWorkload(name.c_str(), 12000);
+    auto batch = AnalyzeWorkload(trace);
+    ASSERT_TRUE(batch.ok());
+    if (batch->input_popularity.distinct_files == 0) ++without_paths;
+    if (batch->names.named_jobs == 0) ++without_names;
+
+    const trace::ColumnarTraceView view = ViewOf(trace);
+    {
+      SCOPED_TRACE("ObserveColumns");
+      ExpectExactStagesEqual(StreamAll(view), *batch);
+    }
+    StreamingAnalyzer from_rows;
+    from_rows.SetMetadata(trace.metadata());
+    ASSERT_TRUE(from_rows
+                    .ObserveJobs(Span<const trace::JobRecord>(
+                        trace.jobs().data(), trace.jobs().size()))
+                    .ok());
+    auto rows_report = from_rows.Report();
+    ASSERT_TRUE(rows_report.ok());
+    SCOPED_TRACE("ObserveJobs");
+    ExpectExactStagesEqual(*rows_report, *batch);
+  }
+  EXPECT_GT(without_paths, 0u);
+  EXPECT_GT(without_names, 0u);
 }
 
 TEST(StreamingTest, GkQuantilesWithinEpsilonOfOracle) {
@@ -282,6 +312,43 @@ TEST(StreamingTest, RejectedBatchLeavesAnalyzerUntouched) {
       bad.jobs().data(), bad.jobs().size()));
   EXPECT_FALSE(bad_status.ok());
   EXPECT_EQ(fresh.jobs_observed(), 0u);
+
+  // In row mode too, a batch whose last row is bad is rejected whole, and
+  // the analyzer continues as if it had never seen it.
+  StreamingAnalyzer from_rows;
+  from_rows.SetMetadata(trace.metadata());
+  ASSERT_TRUE(from_rows
+                  .ObserveJobs(Span<const trace::JobRecord>(
+                      trace.jobs().data(), 500))
+                  .ok());
+  const std::string rows_before = FormatStreamingReport(*from_rows.Report());
+  std::vector<trace::JobRecord> tail(trace.jobs().begin() + 500,
+                                     trace.jobs().begin() + 600);
+  tail.back().map_tasks = -1;
+  EXPECT_FALSE(from_rows
+                   .ObserveJobs(Span<const trace::JobRecord>(tail.data(),
+                                                             tail.size()))
+                   .ok());
+  EXPECT_EQ(from_rows.jobs_observed(), 500u);
+  EXPECT_EQ(FormatStreamingReport(*from_rows.Report()), rows_before);
+  tail.back().map_tasks = trace.jobs()[599].map_tasks;
+  ASSERT_TRUE(from_rows
+                  .ObserveJobs(Span<const trace::JobRecord>(tail.data(),
+                                                            tail.size()))
+                  .ok());
+  StreamingAnalyzer one_shot;
+  one_shot.SetMetadata(trace.metadata());
+  ASSERT_TRUE(one_shot
+                  .ObserveJobs(Span<const trace::JobRecord>(
+                      trace.jobs().data(), 600))
+                  .ok());
+  const StreamingReport continued = *from_rows.Report();
+  const StreamingReport expected = *one_shot.Report();
+  EXPECT_EQ(continued.summary.bytes_moved, expected.summary.bytes_moved);
+  EXPECT_EQ(continued.input_popularity.frequencies,
+            expected.input_popularity.frequencies);
+  EXPECT_EQ(continued.reaccess_fractions.input_reaccess,
+            expected.reaccess_fractions.input_reaccess);
 }
 
 TEST(StreamingTest, EmptyReportIsAnError) {

@@ -22,7 +22,6 @@
 // concurrent reader never sees a torn report.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -33,6 +32,7 @@
 #include "trace/trace_io.h"
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
+#include "numeric_arg.h"
 
 namespace {
 
@@ -214,8 +214,10 @@ int main(int argc, char** argv) {
     }
     workloads::GeneratorOptions options;
     if (argc > 3) {
-      options.job_count_override =
-          static_cast<size_t>(std::strtoull(argv[3], nullptr, 10));
+      if (!ParseNumericArg("[jobs]", argv[3],
+                           &options.job_count_override)) {
+        return 2;
+      }
     } else if (spec->total_jobs > 100000) {
       std::fprintf(stderr, "(scaling %s to 100000 jobs; pass a job count "
                            "to override)\n",
@@ -263,13 +265,15 @@ int main(int argc, char** argv) {
         }
         flags.parse_options.mode = *mode;
       } else if (flag == "--interval") {
-        flags.interval_seconds = std::strtod(value.c_str(), nullptr);
+        if (!ParseNumericArg("--interval", value, &flags.interval_seconds)) {
+          return 2;
+        }
         if (!(flags.interval_seconds > 0.0)) {
           std::fprintf(stderr, "--interval needs a positive number\n");
           return 2;
         }
       } else if (flag == "--repeat") {
-        flags.repeat = std::strtoull(value.c_str(), nullptr, 10);
+        if (!ParseNumericArg("--repeat", value, &flags.repeat)) return 2;
       } else if (flag == "--out") {
         flags.out_path = value;
       } else {

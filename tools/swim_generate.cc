@@ -6,13 +6,13 @@
 // (swim_analyze --list shows details). Output is STF1 when <out> ends in
 // .stf/.stf1, CSV otherwise.
 #include <cstdio>
-#include <cstdlib>
 
 #include "trace/columnar.h"
 #include "trace/trace_io.h"
 #include "workloads/paper_workloads.h"
 #include "workloads/spec_io.h"
 #include "workloads/trace_generator.h"
+#include "numeric_arg.h"
 
 int main(int argc, char** argv) {
   using namespace swim;
@@ -36,12 +36,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   workloads::GeneratorOptions options;
-  if (argc > 3) {
-    options.job_count_override =
-        static_cast<size_t>(std::strtoull(argv[3], nullptr, 10));
+  if (argc > 3 &&
+      !ParseNumericArg("[jobs]", argv[3], &options.job_count_override)) {
+    return 2;
   }
-  if (argc > 4) {
-    options.seed = std::strtoull(argv[4], nullptr, 10);
+  if (argc > 4 && !ParseNumericArg("[seed]", argv[4], &options.seed)) {
+    return 2;
   }
   auto trace = workloads::GenerateTrace(*spec, options);
   if (!trace.ok()) {

@@ -33,8 +33,8 @@
 // redirection) so a 10k-configuration what-if sweep is observable while
 // it runs.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +45,7 @@
 #include "sim/sweep.h"
 #include "trace/columnar.h"
 #include "trace/trace_io.h"
+#include "numeric_arg.h"
 
 namespace {
 
@@ -100,11 +101,14 @@ int main(int argc, char** argv) {
       value = argv[++i];
     }
     if (flag == "--nodes") {
-      options.cluster.nodes = std::atoi(value.c_str());
+      if (!ParseNumericArg("--nodes", value, &options.cluster.nodes)) return 2;
     } else if (flag == "--scheduler") {
       options.scheduler = value;
     } else if (flag == "--stragglers") {
-      options.straggler_probability = std::atof(value.c_str());
+      if (!ParseNumericArg("--stragglers", value,
+                           &options.straggler_probability)) {
+        return 2;
+      }
     } else if (flag == "--on-error") {
       auto mode = trace::ParseModeFromName(value);
       if (!mode.ok()) {
@@ -113,17 +117,32 @@ int main(int argc, char** argv) {
       }
       parse_options.mode = *mode;
     } else if (flag == "--task-failures") {
-      options.failures.task_failure_probability = std::atof(value.c_str());
+      if (!ParseNumericArg("--task-failures", value,
+                           &options.failures.task_failure_probability)) {
+        return 2;
+      }
     } else if (flag == "--node-loss") {
-      options.failures.node_loss_per_hour = std::atof(value.c_str());
+      if (!ParseNumericArg("--node-loss", value,
+                           &options.failures.node_loss_per_hour)) {
+        return 2;
+      }
     } else if (flag == "--max-attempts") {
-      options.failures.max_attempts = std::atoi(value.c_str());
+      if (!ParseNumericArg("--max-attempts", value,
+                           &options.failures.max_attempts)) {
+        return 2;
+      }
     } else if (flag == "--retry-backoff") {
-      options.failures.retry_backoff_seconds = std::atof(value.c_str());
+      if (!ParseNumericArg("--retry-backoff", value,
+                           &options.failures.retry_backoff_seconds)) {
+        return 2;
+      }
     } else if (flag == "--failure-point") {
-      options.failures.failure_point = std::atof(value.c_str());
+      if (!ParseNumericArg("--failure-point", value,
+                           &options.failures.failure_point)) {
+        return 2;
+      }
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumericArg("--seed", value, &options.seed)) return 2;
     } else if (flag == "--sla-multiplier") {
       // One value sets the small (interactive) multiplier; "S,L" sets
       // both classes.
@@ -132,16 +151,27 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--sla-multiplier needs S or S,L\n");
         return 2;
       }
-      options.sla.small_multiplier = std::atof(parts[0].c_str());
-      if (parts.size() > 1 && !parts[1].empty()) {
-        options.sla.large_multiplier = std::atof(parts[1].c_str());
+      if (!ParseNumericArg("--sla-multiplier", parts[0],
+                           &options.sla.small_multiplier)) {
+        return 2;
+      }
+      if (parts.size() > 1 && !parts[1].empty() &&
+          !ParseNumericArg("--sla-multiplier", parts[1],
+                           &options.sla.large_multiplier)) {
+        return 2;
       }
     } else if (flag == "--preemption-budget") {
-      options.sla.preemption_budget = std::atoll(value.c_str());
+      if (!ParseNumericArg("--preemption-budget", value,
+                           &options.sla.preemption_budget)) {
+        return 2;
+      }
     } else if (flag == "--tenants") {
-      options.sla.tenants = std::atoi(value.c_str());
+      if (!ParseNumericArg("--tenants", value, &options.sla.tenants)) return 2;
     } else if (flag == "--tenant-cap") {
-      options.sla.tenant_max_running = std::atoi(value.c_str());
+      if (!ParseNumericArg("--tenant-cap", value,
+                           &options.sla.tenant_max_running)) {
+        return 2;
+      }
     } else if (flag == "--sweep") {
       sweep = true;
       for (const std::string& policy : Split(value, ',')) {
@@ -150,18 +180,22 @@ int main(int argc, char** argv) {
     } else if (flag == "--sweep-nodes") {
       sweep = true;
       for (const std::string& n : Split(value, ',')) {
-        if (!n.empty()) sweep_nodes.push_back(std::atoi(n.c_str()));
+        if (n.empty()) continue;
+        int nodes = 0;
+        if (!ParseNumericArg("--sweep-nodes", n, &nodes)) return 2;
+        sweep_nodes.push_back(nodes);
       }
     } else if (flag == "--sweep-seeds") {
       sweep = true;
       for (const std::string& s : Split(value, ',')) {
-        if (!s.empty()) {
-          sweep_seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
-        }
+        if (s.empty()) continue;
+        uint64_t seed = 0;
+        if (!ParseNumericArg("--sweep-seeds", s, &seed)) return 2;
+        sweep_seeds.push_back(seed);
       }
     } else if (flag == "--sweep-lanes") {
       sweep = true;
-      sweep_lanes = std::atoi(value.c_str());
+      if (!ParseNumericArg("--sweep-lanes", value, &sweep_lanes)) return 2;
       if (sweep_lanes < 1) {
         std::fprintf(stderr, "--sweep-lanes needs a positive lane count\n");
         return 2;

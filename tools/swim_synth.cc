@@ -7,7 +7,6 @@
 // Trace inputs may be CSV or STF1 (sniffed from the magic bytes); gen
 // writes STF1 when the output path ends in .stf/.stf1, CSV otherwise.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/synth/fidelity.h"
@@ -15,6 +14,7 @@
 #include "core/synth/workload_model.h"
 #include "trace/columnar.h"
 #include "trace/trace_io.h"
+#include "numeric_arg.h"
 
 namespace {
 
@@ -53,13 +53,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "gen") {
+    core::SynthesisOptions options;
+    if (argc > 4 && !ParseNumericArg("[jobs]", argv[4], &options.job_count)) {
+      return 2;
+    }
     auto model = core::LoadModel(argv[2]);
     if (!model.ok()) return Fail(model.status());
-    core::SynthesisOptions options;
-    if (argc > 4) {
-      options.job_count =
-          static_cast<size_t>(std::strtoull(argv[4], nullptr, 10));
-    }
     auto synth = core::SynthesizeTrace(*model, options);
     if (!synth.ok()) return Fail(synth.status());
     Status written = trace::WriteTraceAuto(*synth, argv[3]);
