@@ -158,10 +158,14 @@ StatusOr<FollowPoll> TraceFollower::PollCsv() {
   } else {
     document = std::move(chunk);
   }
+  // The chunk's trace is folded row by row and dropped; ObserveJobs interns
+  // paths itself, so building the trace's id indexes would be wasted work.
+  trace::ParseOptions parse_options = options_.csv_parse;
+  parse_options.warm_indexes = false;
   trace::ParseReport report;
   SWIM_ASSIGN_OR_RETURN(
       trace::Trace parsed,
-      trace::TraceFromCsv(document, options_.csv_parse, &report));
+      trace::TraceFromCsv(document, parse_options, &report));
   if (!parsed.empty()) {
     SWIM_RETURN_IF_ERROR(analyzer_.ObserveJobs(
         Span<const trace::JobRecord>(parsed.jobs().data(),

@@ -44,7 +44,8 @@ namespace swim::core {
 struct FollowOptions {
   StreamingOptions streaming;
   /// Row admission for CSV chunks (strict by default; kSkip tolerates torn
-  /// producers at the cost of silently dropping rows).
+  /// producers at the cost of silently dropping rows). `warm_indexes` is
+  /// ignored: each chunk is folded row by row and never indexed.
   trace::ParseOptions csv_parse;
 };
 

@@ -30,8 +30,7 @@ namespace swim::sim {
 ///                       simulator shipped with, retired to golden-oracle
 ///                       duty (property tests drive it and CalendarEventQueue
 ///                       with the same event stream and assert identical pop
-///                       order; -DSWIM_REPLAY_LEGACY rebuilds the whole
-///                       engine on it).
+///                       order).
 ///   DaryEventHeap:      4-ary implicit heap, O(log n) with a ~2x better
 ///                       constant than the binary heap (shallower tree,
 ///                       cache-friendly sift-down over 4 children).

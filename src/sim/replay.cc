@@ -1182,13 +1182,9 @@ StatusOr<ReplayResult> ReplayTemplate::Replay(const ReplayOptions& options,
 
 StatusOr<ReplayResult> ReplayTrace(const trace::Trace& trace,
                                    const ReplayOptions& options) {
-#ifdef SWIM_REPLAY_LEGACY
-  return ReplayTraceLegacy(trace, options);
-#else
   auto tpl = ReplayTemplate::Build(trace, options);
   if (!tpl.ok()) return tpl.status();
   return tpl->Replay(options, /*arena=*/nullptr);
-#endif
 }
 
 }  // namespace swim::sim

@@ -337,7 +337,6 @@ StatusOr<ReplayResult> ReplayTrace(const trace::Trace& trace,
 /// std::priority_queue event loop with per-grant runnable scans and
 /// hour-by-hour occupancy stepping. Semantics are frozen - tests replay
 /// traces through both engines and require bit-identical ReplayResults.
-/// Building with -DSWIM_REPLAY_LEGACY=ON routes ReplayTrace here.
 StatusOr<ReplayResult> ReplayTraceLegacy(const trace::Trace& trace,
                                          const ReplayOptions& options = {});
 

@@ -5,7 +5,7 @@
 // same traces through ReplayTrace and ReplayTraceLegacy and assert
 // bit-identical results (every policy, with and without failure
 // injection); bench_replay measures the speedup against it and gates
-// >= 4x. -DSWIM_REPLAY_LEGACY makes ReplayTrace itself dispatch here.
+// >= 4x.
 //
 // Do not modify this file except to track ReplayOptions semantics: any
 // behaviour change must land in both engines or the identity tests

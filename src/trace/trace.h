@@ -116,12 +116,7 @@ class Trace {
   // threads may share a const Trace freely. Mutation (AddJob/SetJobs) is
   // not synchronized against readers and still requires exclusivity.
   //
-  // Large traces build their indexes in parallel: ParallelFor workers
-  // intern into one shared ShardedInterner in place (no per-worker tables,
-  // no merge), recording provisional ids; a serial O(n) post-pass then
-  // renumbers provisional ids to canonical first-appearance ranks. The
-  // result — id columns and interner contents — is byte-identical to the
-  // serial build at any SWIM_THREADS.
+  // Each index is built by one serial intern loop over the sorted jobs.
 
   /// Interner over input/output paths; ids index path-keyed tables.
   const StringInterner& path_interner() const {
@@ -147,20 +142,18 @@ class Trace {
     return name_ids_;
   }
 
-  /// Builds both id indexes now instead of on first analytical use —
-  /// called by parallel CSV ingest so the concurrent in-place build runs
-  /// while the parse context (thread budget) is still known.
-  /// `max_parallelism` bounds the build's worker lanes; 0 means
-  /// DefaultParallelism().
-  void WarmIndexes(int max_parallelism = 0) const {
-    EnsurePathIndex(max_parallelism);
-    EnsureNameIndex(max_parallelism);
+  /// Builds both id indexes now instead of on first analytical use.
+  /// The argument is ignored: the build is one serial loop at any lane
+  /// count. The signature is kept for existing callers.
+  void WarmIndexes(int /*max_parallelism*/ = 0) const {
+    EnsurePathIndex();
+    EnsureNameIndex();
   }
 
  private:
   void EnsureSorted() const;
-  void EnsurePathIndex(int max_parallelism = 0) const;
-  void EnsureNameIndex(int max_parallelism = 0) const;
+  void EnsurePathIndex() const;
+  void EnsureNameIndex() const;
   /// Sorts with lazy_mu_ already held (Ensure* helpers compose on it).
   void SortLocked() const;
 

@@ -377,25 +377,72 @@ TEST(TraceIndexTest, IndexInvalidatedByMutation) {
   EXPECT_NE(trace.path_interner().Find("data/brand-new-path"), kNoStringId);
 }
 
-// Interner determinism across CSV-parse thread counts: ids are assigned
-// from the submit-sorted job stream, so the id columns must be identical
-// whether the CSV was parsed serially or with 8 shard threads.
+/// Zipf-ish skew without float quantile tables: cubing a uniform variate
+/// concentrates the mass near 0.
+uint64_t SkewedKey(Pcg32& rng, uint64_t domain) {
+  double u = static_cast<double>(rng.NextBounded(1u << 20)) /
+             static_cast<double>(1u << 20);
+  return static_cast<uint64_t>(u * u * u * static_cast<double>(domain));
+}
+
+/// 20k jobs with skewed, partly shared input/output paths and skewed names,
+/// some fields missing: it spans several 4096-line CSV parse shards and
+/// grows the interners' flat tables through several rehashes.
+trace::Trace MakeLargeMixedTrace() {
+  trace::Trace trace;
+  trace.mutable_metadata().name = "interner-test-large";
+  Pcg32 rng(2012, /*stream=*/9);
+  for (uint64_t i = 0; i < 20000; ++i) {
+    trace::JobRecord job;
+    job.job_id = i + 1;
+    job.submit_time = static_cast<double>(rng.NextBounded(1000000));
+    job.input_bytes = 1e6;
+    job.name = "Pipeline" + std::to_string(SkewedKey(rng, 200));
+    if (rng.NextBernoulli(0.85)) {
+      job.input_path = "data/in" + std::to_string(SkewedKey(rng, 3000));
+    }
+    if (rng.NextBernoulli(0.6)) {
+      job.output_path =
+          rng.NextBernoulli(0.3)
+              ? "data/in" + std::to_string(SkewedKey(rng, 3000))
+              : "data/out" + std::to_string(SkewedKey(rng, 3000));
+    }
+    trace.AddJob(std::move(job));
+  }
+  return trace;
+}
+
+void ExpectSameInterner(const StringInterner& a, const StringInterner& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (uint32_t id = 0; id < a.size(); ++id) {
+    ASSERT_EQ(a.NameOf(id), b.NameOf(id)) << "id " << id;
+  }
+}
+
+// Interner determinism across CSV-parse thread counts and build timing:
+// ids are assigned from the submit-sorted job stream, so a lazy build after
+// a serial parse and an eager build inside an 8-thread parse must give the
+// same id columns and the same interners, entry by entry.
 TEST(TraceIndexTest, DeterministicAcrossCsvParseThreads) {
-  trace::Trace trace = MakeIndexedTrace();
-  std::string csv = trace::TraceToCsv(trace);
+  for (const trace::Trace& input :
+       {MakeIndexedTrace(), MakeLargeMixedTrace()}) {
+    SCOPED_TRACE(input.metadata().name);
+    std::string csv = trace::TraceToCsv(input);
 
-  auto serial = trace::TraceFromCsv(csv, /*threads=*/1);
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  auto parallel = trace::TraceFromCsv(csv, /*threads=*/8);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().message();
+    auto lazy = trace::TraceFromCsv(csv, /*threads=*/1);
+    ASSERT_TRUE(lazy.ok()) << lazy.status().message();
+    trace::ParseOptions eager_options;
+    eager_options.threads = 8;
+    eager_options.warm_indexes = true;
+    auto eager = trace::TraceFromCsv(csv, eager_options);
+    ASSERT_TRUE(eager.ok()) << eager.status().message();
+    ASSERT_EQ(lazy->size(), input.size());
 
-  EXPECT_EQ(serial->input_path_ids(), parallel->input_path_ids());
-  EXPECT_EQ(serial->output_path_ids(), parallel->output_path_ids());
-  EXPECT_EQ(serial->name_ids(), parallel->name_ids());
-  ASSERT_EQ(serial->path_interner().size(), parallel->path_interner().size());
-  for (uint32_t id = 0; id < serial->path_interner().size(); ++id) {
-    EXPECT_EQ(serial->path_interner().NameOf(id),
-              parallel->path_interner().NameOf(id));
+    EXPECT_EQ(lazy->input_path_ids(), eager->input_path_ids());
+    EXPECT_EQ(lazy->output_path_ids(), eager->output_path_ids());
+    EXPECT_EQ(lazy->name_ids(), eager->name_ids());
+    ExpectSameInterner(lazy->path_interner(), eager->path_interner());
+    ExpectSameInterner(lazy->name_interner(), eager->name_interner());
   }
 }
 

@@ -232,9 +232,6 @@ int main(int argc, char** argv) {
     trace = *std::move(generated);
   } else {
     AnalyzeFlags flags;
-    // Build the id indexes right after the parse: large traces use the
-    // concurrent in-place interner while the parse's thread budget is hot.
-    flags.parse_options.warm_indexes = true;
     for (int i = 2; i < argc; ++i) {
       std::string flag = argv[i];
       if (flag == "--stream") {

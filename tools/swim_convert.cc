@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   const std::string out_path = argv[2];
 
   trace::ParseOptions parse_options;
-  parse_options.warm_indexes = true;  // STF1 output needs the id indexes
   trace::ColumnarOptions columnar_options;
   bool stats = false;
   bool forced_format = false;
