@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 
 #include "common/interner.h"
 #include "stats/descriptive.h"
@@ -74,19 +73,30 @@ DataSizeCdfs ComputeDataSizeCdfs(const trace::Trace& trace) {
                       stats::EmpiricalCdf(std::move(output))};
 }
 
-FilePopularity PopularityFromCounts(const std::vector<size_t>& counts) {
+FilePopularity PopularityFromCountOfCounts(
+    const std::vector<size_t>& files_with) {
   FilePopularity result;
-  result.frequencies.reserve(counts.size());
+  for (size_t c = 1; c < files_with.size(); ++c) {
+    result.distinct_files += files_with[c];
+    result.total_accesses += c * files_with[c];
+  }
+  result.frequencies.reserve(result.distinct_files);
+  for (size_t c = files_with.size(); c-- > 1;) {
+    result.frequencies.insert(result.frequencies.end(), files_with[c],
+                              static_cast<double>(c));
+  }
+  result.zipf = stats::FitZipfSorted(result.frequencies);
+  return result;
+}
+
+FilePopularity PopularityFromCounts(const std::vector<size_t>& counts) {
+  std::vector<size_t> files_with;
   for (size_t count : counts) {
     if (count == 0) continue;  // path only seen in the other direction
-    result.frequencies.push_back(static_cast<double>(count));
-    result.total_accesses += count;
+    if (count >= files_with.size()) files_with.resize(count + 1, 0);
+    ++files_with[count];
   }
-  result.distinct_files = result.frequencies.size();
-  std::sort(result.frequencies.begin(), result.frequencies.end(),
-            std::greater<double>());
-  result.zipf = stats::FitZipf(result.frequencies);
-  return result;
+  return PopularityFromCountOfCounts(files_with);
 }
 
 FilePopularity ComputeInputPopularity(const trace::Trace& trace) {

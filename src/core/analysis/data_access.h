@@ -36,9 +36,17 @@ FilePopularity ComputeInputPopularity(const trace::Trace& trace);
 FilePopularity ComputeOutputPopularity(const trace::Trace& trace);
 
 /// The popularity derivation behind both of the above and the streaming
-/// analyzer: `counts` holds accesses per dense path id (zeros are paths
-/// never accessed in this direction and are skipped); the nonzero counts
-/// are sorted descending and Zipf-fitted.
+/// analyzer. `files_with[c]` is the number of paths accessed exactly `c`
+/// times (index 0 is ignored). The descending frequency vector is emitted
+/// run by run, from the largest `c` down, and Zipf-fitted; no sort runs.
+/// Cost: O(files_with.size() + distinct files).
+FilePopularity PopularityFromCountOfCounts(
+    const std::vector<size_t>& files_with);
+
+/// The same from per-path counts: `counts` holds accesses per dense path id
+/// (zeros are paths never accessed in this direction and are skipped). One
+/// pass tallies them into a count-of-counts table, sized by the largest
+/// count, then PopularityFromCountOfCounts derives the rest.
 FilePopularity PopularityFromCounts(const std::vector<size_t>& counts);
 
 /// Access-vs-size skew (paper Figures 3/4): for each file-size threshold,

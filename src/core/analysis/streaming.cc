@@ -20,12 +20,6 @@ std::string HotFileLabel(uint64_t key) {
   return "path#" + std::to_string(key);
 }
 
-/// One more access of dense id `id`, growing `counts` to the largest id seen.
-void Tally(std::vector<size_t>& counts, uint32_t id) {
-  if (id >= counts.size()) counts.resize(static_cast<size_t>(id) + 1, 0);
-  ++counts[id];
-}
-
 }  // namespace
 
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
@@ -44,6 +38,15 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
 void StreamingAnalyzer::SetMetadata(const trace::TraceMetadata& metadata) {
   metadata_ = metadata;
   metadata_set_ = true;
+}
+
+void StreamingAnalyzer::AccessCounts::Tally(uint32_t id) {
+  if (id >= per_path.size()) per_path.resize(static_cast<size_t>(id) + 1, 0);
+  size_t& count = per_path[id];
+  if (count > 0) --files_with[count];
+  ++count;
+  if (count >= files_with.size()) files_with.resize(count + 1, 0);
+  ++files_with[count];
 }
 
 struct StreamingAnalyzer::Row {
@@ -156,7 +159,7 @@ void StreamingAnalyzer::ObserveRowSerial(const Row& row,
     return a.seq > b.seq;
   };
   if (input_path_id != kNoStringId) {
-    Tally(input_counts_, input_path_id);
+    input_counts_.Tally(input_path_id);
     hot_inputs_.Add(input_path_id);
     EnsurePathTables(static_cast<size_t>(input_path_id) + 1);
     // Drain writes that the batch access stream orders before this read
@@ -179,7 +182,7 @@ void StreamingAnalyzer::ObserveRowSerial(const Row& row,
     last_read_[input_path_id] = submit;
   }
   if (output_path_id != kNoStringId) {
-    Tally(output_counts_, output_path_id);
+    output_counts_.Tally(output_path_id);
     EnsurePathTables(static_cast<size_t>(output_path_id) + 1);
     pending_writes_.push_back(PendingWrite{finish, 2 * seq + 1, output_path_id});
     std::push_heap(pending_writes_.begin(), pending_writes_.end(), after);
@@ -374,8 +377,10 @@ StatusOr<StreamingReport> StreamingAnalyzer::Report(
   report.output_bytes = quantiles(gk_output_);
   report.duration = quantiles(gk_duration_);
 
-  report.input_popularity = PopularityFromCounts(input_counts_);
-  report.output_popularity = PopularityFromCounts(output_counts_);
+  report.input_popularity =
+      PopularityFromCountOfCounts(input_counts_.files_with);
+  report.output_popularity =
+      PopularityFromCountOfCounts(output_counts_.files_with);
   report.reaccess_fractions =
       ReaccessFractionsFromHits(jobs_with_paths_, input_hits_, output_hits_);
   report.reaccess_p75_interval =

@@ -41,9 +41,10 @@ namespace swim::core {
 //   under-10GB job fraction
 //
 // The fold does only the incremental accumulation — per-path access
-// counts, the hourly series, re-access hit tallies, name shares. Report()
-// hands those accumulators to the batch stages' own derivations
-// (PopularityFromCounts, ReaccessFractionsFromHits, the series overloads
+// counts and their count-of-counts tables, the hourly series, re-access hit
+// tallies, name shares. Report() hands those accumulators to the batch
+// stages' own derivations (PopularityFromCountOfCounts,
+// ReaccessFractionsFromHits, the series overloads
 // of ComputeBurstiness / ComputeSeriesCorrelations / DiurnalStrength,
 // JobNameAccumulator), so the exact report fields match the batch report
 // bit for bit on the same rows (pinned by streaming_test). Sketch stages
@@ -148,8 +149,10 @@ class StreamingAnalyzer {
 
   /// Renders the report. In columnar mode pass the current view so hot
   /// files resolve to path strings (nullptr renders "path#<id>"); the CSV
-  /// mode resolves through its own interner. O(sketch + distinct files +
-  /// observed hours); the job stream is never revisited.
+  /// mode resolves through its own interner. O(sketch + largest access
+  /// count + observed hours), plus writing out the descending frequency
+  /// vectors; neither the job stream nor the per-path counts are revisited,
+  /// and nothing is sorted.
   StatusOr<StreamingReport> Report(
       const trace::ColumnarTraceView* dictionaries = nullptr) const;
 
@@ -158,6 +161,19 @@ class StreamingAnalyzer {
 
   /// One job's scalar columns, as either input mode supplies them.
   struct Row;
+
+  /// Exact access counts of one direction: per path (dense by path id,
+  /// grown to the largest id seen) and as a count-of-counts table —
+  /// `files_with[c]` paths were accessed exactly `c` times — that Report()
+  /// derives popularity from without sorting.
+  struct AccessCounts {
+    std::vector<size_t> per_path;
+    std::vector<size_t> files_with;
+
+    /// One more access of `id`: O(1) amortized, it moves the path from run
+    /// c to run c + 1.
+    void Tally(uint32_t id);
+  };
 
   struct PendingWrite {
     double time = 0.0;
@@ -212,10 +228,9 @@ class StreamingAnalyzer {
   // at Report() time exactly as Trace::HourlySeries sizes it.
   SubmissionSeries hourly_;
 
-  // Exact per-path access counts (dense by path id, grown to the largest
-  // id seen) + sketch-backed hot files.
-  std::vector<size_t> input_counts_;
-  std::vector<size_t> output_counts_;
+  // Exact access counts + sketch-backed hot files.
+  AccessCounts input_counts_;
+  AccessCounts output_counts_;
   stats::SpaceSavingSketch hot_inputs_;
 
   // Sliding windows (bounded memory view of the recent stream).

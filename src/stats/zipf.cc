@@ -15,10 +15,13 @@ ZipfFitResult FitZipf(const std::vector<double>& frequencies) {
     if (f > 0.0) sorted.push_back(f);
   }
   std::sort(sorted.begin(), sorted.end(), std::greater<double>());
+  return FitZipfSorted(sorted);
+}
 
+ZipfFitResult FitZipfSorted(const std::vector<double>& descending) {
   ZipfFitResult result;
-  result.ranks = sorted.size();
-  if (sorted.size() < 2) return result;
+  result.ranks = descending.size();
+  if (descending.size() < 2) return result;
 
   // Sample ranks log-uniformly (24 per decade). Fitting every rank would
   // let the long plateau of once-accessed files dominate the regression;
@@ -26,7 +29,7 @@ ZipfFitResult FitZipf(const std::vector<double>& frequencies) {
   // log-log axes (Figure 2).
   std::vector<double> log_rank;
   std::vector<double> log_freq;
-  const double n = static_cast<double>(sorted.size());
+  const double n = static_cast<double>(descending.size());
   const double step = std::pow(10.0, 1.0 / 24.0);
   size_t last_rank = 0;
   for (double r = 1.0; r <= n; r *= step) {
@@ -34,7 +37,7 @@ ZipfFitResult FitZipf(const std::vector<double>& frequencies) {
     if (rank == last_rank) continue;
     last_rank = rank;
     log_rank.push_back(std::log10(static_cast<double>(rank)));
-    log_freq.push_back(std::log10(sorted[rank - 1]));
+    log_freq.push_back(std::log10(descending[rank - 1]));
   }
   LinearFit fit = FitLine(log_rank, log_freq);
   result.slope = -fit.slope;

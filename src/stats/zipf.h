@@ -22,8 +22,13 @@ struct ZipfFitResult {
 
 /// Fits a Zipf model to access counts. `frequencies` are per-item access
 /// counts in any order; items with zero count are ignored. The fit sorts by
-/// descending frequency and regresses log10(freq) on log10(rank).
+/// descending frequency and hands the result to FitZipfSorted.
 ZipfFitResult FitZipf(const std::vector<double>& frequencies);
+
+/// The fit itself, for counts already in descending order with no zeros:
+/// regresses log10(freq) on log10(rank) over log-spaced ranks, so it reads
+/// ~24 ranks per decade and never the whole vector.
+ZipfFitResult FitZipfSorted(const std::vector<double>& descending);
 
 /// Draws ranks in [0, n) with probability proportional to (rank+1)^-s.
 /// Uses a precomputed Walker/Vose alias table: O(n) construction once,

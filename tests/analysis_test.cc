@@ -1,5 +1,10 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "common/random.h"
@@ -8,6 +13,7 @@
 #include "core/analysis/temporal.h"
 #include "core/analysis/workload_report.h"
 #include "gtest/gtest.h"
+#include "stats/zipf.h"
 #include "trace/trace.h"
 
 namespace swim::core {
@@ -72,6 +78,80 @@ TEST(PopularityTest, EmptyWhenNoPaths) {
   FilePopularity pop = ComputeInputPopularity(t);
   EXPECT_EQ(pop.distinct_files, 0u);
   EXPECT_EQ(ComputeOutputPopularity(t).distinct_files, 0u);
+}
+
+// PopularityFromCounts as a sort: collect the nonzero counts, sort them
+// descending, fit. The count-of-counts derivation must match it exactly.
+FilePopularity SortedPopularityOracle(const std::vector<size_t>& counts) {
+  FilePopularity result;
+  for (size_t count : counts) {
+    if (count == 0) continue;
+    result.frequencies.push_back(static_cast<double>(count));
+    result.total_accesses += count;
+  }
+  result.distinct_files = result.frequencies.size();
+  std::sort(result.frequencies.begin(), result.frequencies.end(),
+            std::greater<double>());
+  result.zipf = stats::FitZipf(result.frequencies);
+  return result;
+}
+
+void ExpectMatchesOracle(const std::vector<size_t>& counts) {
+  const FilePopularity want = SortedPopularityOracle(counts);
+  const FilePopularity got = PopularityFromCounts(counts);
+  EXPECT_EQ(got.distinct_files, want.distinct_files);
+  EXPECT_EQ(got.total_accesses, want.total_accesses);
+  EXPECT_EQ(got.frequencies, want.frequencies);
+  EXPECT_EQ(got.zipf.ranks, want.zipf.ranks);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.zipf.slope),
+            std::bit_cast<uint64_t>(want.zipf.slope));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.zipf.intercept),
+            std::bit_cast<uint64_t>(want.zipf.intercept));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.zipf.r_squared),
+            std::bit_cast<uint64_t>(want.zipf.r_squared));
+}
+
+TEST(PopularityTest, CountOfCountsMatchesSortOracle) {
+  {
+    SCOPED_TRACE("empty");
+    ExpectMatchesOracle({});
+  }
+  {
+    SCOPED_TRACE("all zero");
+    ExpectMatchesOracle(std::vector<size_t>(1000, 0));
+  }
+  {
+    SCOPED_TRACE("single file");
+    ExpectMatchesOracle({0, 0, 7, 0});
+  }
+  {
+    SCOPED_TRACE("heavy ties");
+    std::vector<size_t> counts;
+    for (size_t i = 0; i < 30000; ++i) counts.push_back(1 + i % 4);
+    ExpectMatchesOracle(counts);
+  }
+  {
+    SCOPED_TRACE("one huge count among ones");
+    std::vector<size_t> counts(5000, 1);
+    counts[2500] = 100000;
+    ExpectMatchesOracle(counts);
+  }
+  {
+    SCOPED_TRACE("random Zipf counts");
+    stats::ZipfSampler sampler(50000, 0.83);
+    Pcg32 rng(43);
+    std::vector<size_t> counts(50000, 0);
+    for (int i = 0; i < 400000; ++i) ++counts[sampler.Sample(rng)];
+    ExpectMatchesOracle(counts);
+  }
+}
+
+TEST(PopularityTest, CountOfCountsEmitsRunsDescending) {
+  // Two paths read 3 times, one read once; index 0 is ignored.
+  const FilePopularity pop = PopularityFromCountOfCounts({9, 1, 0, 2});
+  EXPECT_EQ(pop.distinct_files, 3u);
+  EXPECT_EQ(pop.total_accesses, 7u);
+  EXPECT_EQ(pop.frequencies, (std::vector<double>{3.0, 3.0, 1.0}));
 }
 
 // --- Size skew (Figures 3/4) -----------------------------------------------------

@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/random.h"
@@ -239,6 +242,36 @@ TEST(ZipfFitTest, IgnoresZeroFrequencies) {
 TEST(ZipfFitTest, TooFewRanks) {
   EXPECT_EQ(FitZipf({}).slope, 0.0);
   EXPECT_EQ(FitZipf({5}).slope, 0.0);
+}
+
+TEST(ZipfFitTest, SortedFitEqualsFitOnShuffledCopyBitForBit) {
+  // Sampled Zipf counts: heavy ties in the tail, a long head.
+  ZipfSampler sampler(20000, 0.83);
+  Pcg32 rng(31);
+  std::vector<double> counts(20000, 0.0);
+  for (int i = 0; i < 200000; ++i) counts[sampler.Sample(rng)] += 1.0;
+  std::vector<double> descending;
+  for (double c : counts) {
+    if (c > 0.0) descending.push_back(c);
+  }
+  std::sort(descending.begin(), descending.end(), std::greater<double>());
+
+  // The unsorted input: shuffled, with zeros mixed in.
+  std::vector<double> shuffled = descending;
+  shuffled.insert(shuffled.end(), 5000, 0.0);
+  Shuffle(shuffled, rng);
+
+  const ZipfFitResult sorted_fit = FitZipfSorted(descending);
+  const ZipfFitResult fit = FitZipf(shuffled);
+  EXPECT_EQ(sorted_fit.ranks, descending.size());
+  EXPECT_EQ(fit.ranks, sorted_fit.ranks);
+  EXPECT_EQ(std::bit_cast<uint64_t>(fit.slope),
+            std::bit_cast<uint64_t>(sorted_fit.slope));
+  EXPECT_EQ(std::bit_cast<uint64_t>(fit.intercept),
+            std::bit_cast<uint64_t>(sorted_fit.intercept));
+  EXPECT_EQ(std::bit_cast<uint64_t>(fit.r_squared),
+            std::bit_cast<uint64_t>(sorted_fit.r_squared));
+  EXPECT_GT(sorted_fit.slope, 0.0);
 }
 
 TEST(ZipfSamplerTest, PmfMatchesTheory) {

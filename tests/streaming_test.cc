@@ -2,6 +2,7 @@
 // exact-stage byte identity against the batch pipeline, GK quantiles
 // against the SortedStats oracle, thread-count determinism, incremental ==
 // one-shot, and follower resilience to truncation / mutation / garbage.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -257,6 +258,98 @@ TEST(StreamingTest, IncrementalMatchesOneShotExactStages) {
   // other's rank window (both are within eps of the truth).
   EXPECT_NEAR(report->duration.p50, one_shot.duration.p50,
               0.05 * one_shot.duration.p50 + 1.0);
+}
+
+/// Folds `trace` in the uneven batches a follower produces (1, 137, 4000,
+/// 2, then the rest), through both input modes, and after every batch
+/// checks the exact stages against the batch pipeline on that prefix.
+void ExpectEveryPollExact(const trace::Trace& trace) {
+  const trace::ColumnarTraceView view = ViewOf(trace);
+  StreamingAnalyzer columnar;
+  StreamingAnalyzer rows;
+  rows.SetMetadata(trace.metadata());
+  size_t at = 0;
+  for (size_t step : {size_t{1}, size_t{137}, size_t{4000}, size_t{2},
+                      trace.size()}) {
+    const size_t end = std::min(trace.size(), at + step);
+    SCOPED_TRACE("rows [" + std::to_string(at) + ", " + std::to_string(end) +
+                 ")");
+    ASSERT_TRUE(columnar.ObserveColumns(view, at, end).ok());
+    ASSERT_TRUE(rows.ObserveJobs(Span<const trace::JobRecord>(
+                                     trace.jobs().data() + at, end - at))
+                    .ok());
+    at = end;
+    auto batch = AnalyzeWorkload(Prefix(trace, end));
+    ASSERT_TRUE(batch.ok());
+    auto columnar_report = columnar.Report(&view);
+    ASSERT_TRUE(columnar_report.ok());
+    auto rows_report = rows.Report();
+    ASSERT_TRUE(rows_report.ok());
+    {
+      SCOPED_TRACE("ObserveColumns");
+      ExpectExactStagesEqual(*columnar_report, *batch);
+    }
+    {
+      SCOPED_TRACE("ObserveJobs");
+      ExpectExactStagesEqual(*rows_report, *batch);
+    }
+  }
+  ASSERT_EQ(at, trace.size());
+}
+
+TEST(StreamingTest, EveryPollMatchesBatchOnThePrefix) {
+  {
+    // Input paths, output paths and names.
+    SCOPED_TRACE("CC-b");
+    ExpectEveryPollExact(GenerateWorkload("CC-b", 9000));
+  }
+  {
+    // Input paths only, no names.
+    SCOPED_TRACE("FB-2010");
+    ExpectEveryPollExact(GenerateWorkload("FB-2010", 9000));
+  }
+}
+
+TEST(StreamingTest, EveryPollMatchesBatchOnHandBuiltRows) {
+  // Rows [4138, 4140) form the 2-row batch of ExpectEveryPollExact; they
+  // touch only files never seen before. Elsewhere every tenth row reads
+  // one hot path (430 reads, so it walks through that many runs of the
+  // count-of-counts table), and every seventh reads an output written
+  // fifty rows earlier.
+  trace::Trace trace;
+  trace.mutable_metadata().name = "hand-built";
+  trace.mutable_metadata().machines = 10;
+  const char* const kNames[] = {"insert", "select", "piglatin", "oozie"};
+  for (size_t i = 0; i < 4300; ++i) {
+    trace::JobRecord job;
+    job.job_id = i + 1;
+    job.submit_time = 30.0 * static_cast<double>(i / 2);  // pairs share a time
+    job.duration = 45.0 + static_cast<double>(i % 5);
+    job.input_bytes = 1e6 * static_cast<double>(1 + i % 13);
+    job.output_bytes = 1e5 * static_cast<double>(1 + i % 7);
+    job.map_tasks = 1;
+    job.map_task_seconds = 10.0;
+    job.name = kNames[i % 4];
+    if (i == 4138 || i == 4139) {
+      job.input_path = "fresh/in" + std::to_string(i);
+      job.output_path = "fresh/out" + std::to_string(i);
+    } else {
+      if (i % 10 == 0) {
+        job.input_path = "hot";
+      } else if (i % 7 == 3 && i >= 50) {
+        job.input_path = "out/" + std::to_string(i - 50);
+      } else if (i % 3 != 0) {
+        job.input_path = "in/" + std::to_string(i % 997);
+      }
+      if (i % 2 == 1) job.output_path = "out/" + std::to_string(i);
+    }
+    trace.AddJob(job);
+  }
+  auto batch = AnalyzeWorkload(trace);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->input_popularity.frequencies.front(), 430.0);
+  ASSERT_GT(batch->reaccess_fractions.output_reaccess, 0.0);
+  ExpectEveryPollExact(trace);
 }
 
 TEST(StreamingTest, JobsModeMatchesColumnarModeExactStages) {
