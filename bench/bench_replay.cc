@@ -1,17 +1,20 @@
-// Replay engine benchmark: the calendar-queue core (sim/replay.cc) against
+// Replay engine benchmark: the incremental core (sim/replay.cc) against
 // the retired std::priority_queue engine (sim/replay_legacy.cc), plus the
-// parallel sweep driver's thread scaling.
+// parallel sweep driver's thread scaling. The engine's row keeps its
+// historical key, replay/calendar, from when the core ran on a calendar
+// queue.
 //
 // Single-replay scenario: a 1M-task day-long synthetic trace shaped like
 // the paper's FB workloads after task-cap merging - tens of thousands of
 // jobs, tens of tasks each, long waves, so ~1200 jobs are in flight at
 // once. This is exactly the regime the rebuild targets: the legacy engine
 // rescans every active job on each grant round (O(active) per event, even
-// with nothing runnable) and pays a log-depth heap sift per batch, where
-// the new engine's incremental runnable lists and calendar queue make both
-// O(1). Both engines replay the same trace; their ReplayResults are
-// required to match exactly (latencies to the last bit) before timing
-// counts - disagreement is a correctness bug, not a perf result.
+// with nothing runnable) and sifts every arrival through one heap of ~N
+// events, where the new engine's incremental runnable lists touch only
+// runnable jobs and its heap holds only the events in flight. Both
+// engines replay the same trace; their ReplayResults are required to
+// match exactly (latencies to the last bit) before timing counts -
+// disagreement is a correctness bug, not a perf result.
 //
 // Sweep scenario (ISSUE 6): a 10k-configuration what-if grid - policy x
 // nodes x failure-model x seed - on a small trace, three ways:
@@ -28,7 +31,7 @@
 //
 // --json <path> emits {name, jobs_per_sec, threads, median_seconds,
 // repeats, warmups} rows (jobs or configs per second). Hard gates:
-// calendar engine >= 4x legacy on the 1M-task replay (ISSUE 5), template
+// engine >= 4x legacy on the 1M-task replay, template
 // sweep >= 1.15x the per-cell baseline (hardware-independent), and
 // sweep/parallel8 >= 3x sweep/serial - the latter only enforced when the
 // host has >= 4 cores (CI runners do; a 1-core dev box cannot scale by
@@ -106,11 +109,11 @@ int main(int argc, char** argv) {
   std::string json_path = bench::JsonPathFromArgs(argc, argv);
   bench::BenchJsonWriter json;
 
-  // -- 1M-task single replay: calendar engine vs retired engine --
+  // -- 1M-task single replay: current engine vs retired engine --
   constexpr size_t kJobs = 25000;
   constexpr int64_t kMaps = 32;
   constexpr int64_t kReduces = 8;
-  bench::Banner("Replay engine: calendar queue vs priority_queue");
+  bench::Banner("Replay engine: incremental core vs priority_queue");
   trace::Trace big = SyntheticTrace(kJobs, kMaps, kReduces, bench::kBenchSeed);
   sim::ReplayOptions options;
   options.cluster.nodes = 5000;  // free slots stay available: every event
@@ -264,7 +267,7 @@ int main(int argc, char** argv) {
   bench::Banner("Speedup summary");
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.1fx", speedup);
-  bench::PaperVsMeasured("calendar engine vs priority_queue (1M tasks)",
+  bench::PaperVsMeasured("replay engine vs priority_queue (1M tasks)",
                          ">= 4x", buffer);
   std::snprintf(buffer, sizeof(buffer), "%.2fx", template_speedup);
   bench::PaperVsMeasured("template+arena sweep vs per-cell replay (10k)",

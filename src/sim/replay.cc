@@ -7,9 +7,12 @@
 // require equal results to the last bit - while removing every
 // per-event O(active) cost:
 //
-//   - Events flow through a calendar queue (sim/event_queue.h): amortized
-//     O(1) enqueue/dequeue with a d-ary-heap fallback for sparse tails,
-//     FIFO tie-break on the same seq counter the heap used.
+//   - Job arrivals are never queued: a cursor walks the submit-sorted
+//     template and is merged with a 4-ary heap (sim/event_queue.h) that
+//     holds only in-flight events - a few thousand even on a million-job
+//     trace. Arrival i keeps seq i and every other event draws from the
+//     same counter starting at n, so the merged order is the retired
+//     engine's (time, seq) order, FIFO tie-breaks included.
 //   - The runnable set is maintained incrementally: jobs enter/leave
 //     per-kind runnable lists at their state transitions (arrival, batch
 //     launch, batch completion/failure, parent finish, retry backoff,
@@ -173,7 +176,7 @@ Status ValidateSlaOptions(const SlaOptions& sla) {
 /// Every per-run container draws from `arena` (heap fallback when null):
 /// the job table copy, both runnable lists and their position indexes,
 /// the parked-job heap, the active-list links, the occupancy buckets,
-/// and the calendar queue's heap and bucket ring. The ReplayResult
+/// and the in-flight event heap. The ReplayResult
 /// handed back owns plain heap memory so it survives the lane's
 /// arena->Reset() between configurations.
 class ReplayEngine {
@@ -279,6 +282,26 @@ class ReplayEngine {
     }
   }
 
+  // --- Event stream ---------------------------------------------------
+  //
+  // Arrival i has seq i and in-flight events take seqs from n up, so at
+  // equal times an arrival pops first: exactly the order of a single queue
+  // seeded with every arrival up front.
+
+  bool WorkRemains() const {
+    return next_arrival_ < jobs_.size() || !queue_.empty();
+  }
+
+  Event NextEvent() {
+    if (next_arrival_ < jobs_.size() &&
+        (queue_.empty() ||
+         jobs_[next_arrival_].submit_time <= queue_.Top().time)) {
+      const size_t i = next_arrival_++;
+      return Event{jobs_[i].submit_time, i, Event::Kind::kArrival, i};
+    }
+    return queue_.Pop();
+  }
+
   // --- Engine steps ---------------------------------------------------
 
   void PushEvent(double time, Event::Kind kind, size_t job_index,
@@ -323,7 +346,9 @@ class ReplayEngine {
 
   ArenaVector<SimJob> jobs_;
   std::unique_ptr<Scheduler> scheduler_;
-  CalendarEventQueue<Event, ArenaAllocator<Event>> queue_;
+  /// In-flight events only; arrivals stream from jobs_ via next_arrival_.
+  DaryEventHeap<Event, ArenaAllocator<Event>> queue_;
+  size_t next_arrival_ = 0;
   uint64_t seq_ = 0;
 
   int64_t total_map_slots_ = 0;
@@ -783,10 +808,7 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
     }
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    PushEvent(jobs_[i].submit_time, Event::Kind::kArrival, i,
-              TaskKind::kMap, 0, 1, 0.0);
-  }
+  seq_ = n;  // seqs below n belong to the arrivals
 
   total_map_slots_ = options_.cluster.total_map_slots();
   total_reduce_slots_ = options_.cluster.total_reduce_slots();
@@ -807,8 +829,8 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   }
 
   double last_finish = 0.0;
-  while (!queue_.empty()) {
-    Event event = queue_.Pop();
+  while (WorkRemains()) {
+    Event event = NextEvent();
     int64_t busy = (total_map_slots_ - free_map_slots_) +
                    (total_reduce_slots_ - free_reduce_slots_);
     meter_.Advance(event.time, busy, occupancy_slot_seconds_);
@@ -859,9 +881,10 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
           }
           if (map_quota == 0 && reduce_quota == 0) break;
         }
-        // Self-reschedule while the simulation still has work; stop when
-        // this was the last event so the loop terminates.
-        if (!queue_.empty()) {
+        // Self-reschedule while the simulation still has work (in-flight
+        // events or arrivals to come); stop when this was the last event
+        // so the loop terminates.
+        if (WorkRemains()) {
           PushEvent(event.time + loss_rng_.NextExponential(
                                      loss_rate_per_second),
                     Event::Kind::kNodeLoss, 0, TaskKind::kMap, 0, 1, 0.0);
@@ -1080,8 +1103,10 @@ StatusOr<ReplayTemplate> ReplayTemplate::Build(const trace::Trace& trace,
   tpl.sla_tenants_ = base.sla.tenants;
   tpl.dependencies_ = base.dependencies;
 
-  // Build the job skeletons (trace.jobs() is submit-sorted). This is the
-  // exact conversion the engine used to run per replay.
+  // Build the job skeletons. trace.jobs() is submit-sorted even when the
+  // trace was assembled out of order, and the engine's arrival cursor
+  // relies on that. This is the exact conversion the engine used to run
+  // per replay.
   tpl.jobs_.reserve(trace.size());
   for (const auto& record : trace.jobs()) {
     SimJob job;

@@ -75,7 +75,8 @@ struct SlaOptions {
   /// job and hand the slots to the interactive job. Revoked work re-joins
   /// the unlaunched pool via the relaunch-debt machinery (counted in
   /// FailureStats::retries at re-launch). 0 disables preemption.
-  /// Calendar-queue engine only; ReplayTraceLegacy rejects budgets > 0.
+  /// Not supported by the legacy engine: ReplayTraceLegacy rejects
+  /// budgets > 0.
   int64_t preemption_budget = 0;
   /// Per-tenant admission control: tenants > 0 assigns each job to tenant
   /// job_id % tenants and caps concurrently admitted (running or queued-
@@ -332,7 +333,7 @@ class ReplayTemplate {
 StatusOr<ReplayResult> ReplayTrace(const trace::Trace& trace,
                                    const ReplayOptions& options = {});
 
-/// The engine ReplayTrace shipped with before the calendar-queue rebuild
+/// The engine ReplayTrace shipped with before the incremental rebuild
 /// (replay_legacy.cc), kept verbatim as the golden oracle: a
 /// std::priority_queue event loop with per-grant runnable scans and
 /// hour-by-hour occupancy stepping. Semantics are frozen - tests replay

@@ -1,4 +1,4 @@
-// The replay engine as it shipped before the calendar-queue rebuild,
+// The replay engine as it shipped before the incremental rebuild,
 // frozen as a golden oracle: one std::priority_queue event per task
 // batch, the runnable set rebuilt by scanning every active job on each
 // grant round, and hour-by-hour occupancy stepping. Tests replay the
@@ -239,7 +239,7 @@ StatusOr<ReplayResult> ReplayTraceLegacy(const trace::Trace& trace,
   ReplayResult result;
   result.scheduler = scheduler->name();
 
-  // --- Admission control (mirrors the calendar engine's token bucket) --
+  // --- Admission control (mirrors ReplayTrace's token bucket) ---------
   const bool admission = options.sla.admission_enabled();
   std::vector<uint8_t> arrived(jobs.size(), 0);
   std::vector<uint8_t> admitted;
@@ -614,7 +614,7 @@ StatusOr<ReplayResult> ReplayTraceLegacy(const trace::Trace& trace,
           }
           // Token release after the children admit: a same-tenant child
           // may park here and be popped by this release, preserving the
-          // per-tenant FIFO order (mirrors the calendar engine).
+          // per-tenant FIFO order (mirrors ReplayTrace).
           release_admission(event.job_index, event.time);
           account_sla(job, /*killed=*/false);
           JobOutcome outcome;

@@ -42,7 +42,7 @@ struct SchedulerContext {
 /// detail). All built-in policies pin ties to (earliest submit time, then
 /// lowest job index).
 ///
-/// Tables are passed as Spans so the calendar engine's arena-backed
+/// Tables are passed as Spans so the replay engine's arena-backed
 /// vectors and the legacy engine's (and tests') std::vectors share one
 /// interface.
 class Scheduler {

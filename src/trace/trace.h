@@ -47,11 +47,17 @@ class Trace {
   const TraceMetadata& metadata() const { return metadata_; }
   TraceMetadata& mutable_metadata() { return metadata_; }
 
-  const std::vector<JobRecord>& jobs() const { return jobs_; }
+  /// The jobs in submit order. An out-of-order AddJob leaves the sort
+  /// pending; this read applies it first, so callers that walk jobs() as
+  /// a time-ordered stream (the replay engines) never see it unsorted.
+  const std::vector<JobRecord>& jobs() const {
+    if (!sorted_.load(std::memory_order_acquire)) EnsureSorted();
+    return jobs_;
+  }
   size_t size() const { return jobs_.size(); }
   bool empty() const { return jobs_.empty(); }
 
-  /// Appends a job; re-sorts lazily on the next read if ordering broke.
+  /// Appends a job; re-sorts (stably) on the next read if ordering broke.
   void AddJob(JobRecord job);
 
   /// Bulk replacement; takes ownership and sorts.

@@ -1,9 +1,9 @@
-// Property tests for the replay engine's event queues (sim/event_queue.h):
-// the calendar queue and the 4-ary heap are driven with the same event
-// streams as the retired std::priority_queue (the golden oracle) and must
-// produce the exact same pop order - including FIFO order within
-// same-timestamp bursts, which is what the replay engine's determinism
-// contract hangs on.
+// Property tests for the replay engine's event queue (sim/event_queue.h):
+// the 4-ary heap is driven with the same event streams as the retired
+// std::priority_queue (the golden oracle) and must produce the exact same
+// pop order - including FIFO order within same-timestamp bursts, which is
+// what the replay engine's determinism contract hangs on - and Top() must
+// always show the event the next Pop() returns.
 #include <cstdint>
 #include <vector>
 
@@ -20,8 +20,19 @@ struct TestEvent {
   uint32_t payload = 0;
 };
 
-template <typename Queue>
-std::vector<TestEvent> Drain(Queue& queue) {
+/// Pops everything, checking Top() against each Pop().
+std::vector<TestEvent> Drain(DaryEventHeap<TestEvent>& heap) {
+  std::vector<TestEvent> order;
+  order.reserve(heap.size());
+  while (!heap.empty()) {
+    const TestEvent top = heap.Top();
+    order.push_back(heap.Pop());
+    EXPECT_EQ(top.seq, order.back().seq) << "Top() disagrees with Pop()";
+  }
+  return order;
+}
+
+std::vector<TestEvent> Drain(HeapEventQueue<TestEvent>& queue) {
   std::vector<TestEvent> order;
   order.reserve(queue.size());
   while (!queue.empty()) order.push_back(queue.Pop());
@@ -46,12 +57,11 @@ void RunInterleavedAgainstOracle(size_t total_events, uint64_t seed,
                                  MakeTime&& next_time) {
   Pcg32 rng(seed, /*stream=*/0x0e51);
   HeapEventQueue<TestEvent> oracle;
-  CalendarEventQueue<TestEvent> calendar;
   DaryEventHeap<TestEvent> dary;
   uint64_t seq = 0;
   double now = 0.0;
   size_t pushed = 0;
-  std::vector<TestEvent> oracle_order, calendar_order, dary_order;
+  std::vector<TestEvent> oracle_order, dary_order;
   while (pushed < total_events || !oracle.empty()) {
     bool push = pushed < total_events &&
                 (oracle.empty() || rng.NextBernoulli(0.55));
@@ -63,19 +73,18 @@ void RunInterleavedAgainstOracle(size_t total_events, uint64_t seed,
       ++seq;
       ++pushed;
       oracle.Push(event);
-      calendar.Push(event);
       dary.Push(event);
     } else {
-      ASSERT_EQ(oracle.size(), calendar.size());
       ASSERT_EQ(oracle.size(), dary.size());
       TestEvent expected = oracle.Pop();
       now = expected.time;  // simulated clock advances to the pop
       oracle_order.push_back(expected);
-      calendar_order.push_back(calendar.Pop());
+      const TestEvent top = dary.Top();
       dary_order.push_back(dary.Pop());
+      ASSERT_EQ(top.seq, dary_order.back().seq)
+          << "Top() disagrees with Pop()";
     }
   }
-  ExpectSameOrder(calendar_order, oracle_order);
   ExpectSameOrder(dary_order, oracle_order);
 }
 
@@ -94,11 +103,10 @@ TEST(EventQueueTest, SameTimestampBurstsPopInFifoOrder) {
   });
 }
 
-TEST(EventQueueTest, IdleGapsBetweenClusters) {
-  // Clustered arrivals separated by gaps up to a simulated month - the
-  // pattern that forces the calendar queue's cursor jump. Also crosses
-  // the heap<->calendar migration thresholds repeatedly because the queue
-  // drains nearly empty between clusters.
+TEST(EventQueueTest, IdleGapsAndFarFuturePushes) {
+  // Clustered events separated by gaps up to a simulated month, so the
+  // heap drains nearly empty between clusters and far-future events sit
+  // under a churning near-term front.
   RunInterleavedAgainstOracle(50000, 6021023, [](Pcg32& rng, double now) {
     if (rng.NextBernoulli(0.01)) {
       return now + rng.NextDouble(1e5, 30.0 * 86400.0);  // gap
@@ -108,52 +116,20 @@ TEST(EventQueueTest, IdleGapsBetweenClusters) {
 }
 
 TEST(EventQueueTest, MonotonePushThenFullDrain) {
-  // Pure arrival-scan shape: everything pushed up front in (time, seq)
-  // order (like the engine seeding one kArrival per job from a
-  // submit-sorted trace), then drained.
+  // Everything pushed up front in (time, seq) order, then drained.
   HeapEventQueue<TestEvent> oracle;
-  CalendarEventQueue<TestEvent> calendar;
+  DaryEventHeap<TestEvent> dary;
   Pcg32 rng(404, /*stream=*/0x0e52);
   double time = 0.0;
   for (uint64_t i = 0; i < 20000; ++i) {
     time += rng.NextDouble(0.0, 10.0);
     TestEvent event{time, i, static_cast<uint32_t>(i)};
     oracle.Push(event);
-    calendar.Push(event);
+    dary.Push(event);
   }
   std::vector<TestEvent> oracle_order = Drain(oracle);
-  std::vector<TestEvent> calendar_order = Drain(calendar);
-  ExpectSameOrder(calendar_order, oracle_order);
-}
-
-TEST(EventQueueTest, TinyQueueStaysCorrectAcrossModeBoundary) {
-  // Push/pop around the heap<->calendar hysteresis thresholds.
-  HeapEventQueue<TestEvent> oracle;
-  CalendarEventQueue<TestEvent> calendar;
-  Pcg32 rng(7, /*stream=*/0x0e53);
-  uint64_t seq = 0;
-  double now = 0.0;
-  for (int round = 0; round < 200; ++round) {
-    size_t burst = static_cast<size_t>(rng.NextInt(1, 150));  // straddles 48/96
-    for (size_t i = 0; i < burst; ++i) {
-      TestEvent event{now + rng.NextDouble(0.0, 100.0), seq,
-                      static_cast<uint32_t>(seq)};
-      ++seq;
-      oracle.Push(event);
-      calendar.Push(event);
-    }
-    size_t pops = static_cast<size_t>(
-        rng.NextInt(1, static_cast<int64_t>(burst)));
-    for (size_t i = 0; i < pops && !oracle.empty(); ++i) {
-      TestEvent expected = oracle.Pop();
-      TestEvent got = calendar.Pop();
-      ASSERT_EQ(got.seq, expected.seq);
-      now = expected.time;
-    }
-  }
-  std::vector<TestEvent> oracle_order = Drain(oracle);
-  std::vector<TestEvent> calendar_order = Drain(calendar);
-  ExpectSameOrder(calendar_order, oracle_order);
+  std::vector<TestEvent> dary_order = Drain(dary);
+  ExpectSameOrder(dary_order, oracle_order);
 }
 
 }  // namespace

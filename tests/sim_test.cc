@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "common/units.h"
+#include "frameworks/workflow.h"
 #include "gtest/gtest.h"
 #include "sim/replay.h"
 #include "sim/scheduler.h"
@@ -672,7 +673,7 @@ TEST(SchedulerTieBreakTest, DeadlineRanksEdfAndEscalatesOverdue) {
 
 // --- Engine vs captured baseline -------------------------------------------
 
-// The calendar-queue engine against ReplayTraceLegacy - the pre-rebuild
+// The ReplayTrace engine against ReplayTraceLegacy - the pre-rebuild
 // engine kept verbatim in replay_legacy.cc as the captured baseline. The
 // ISSUE's acceptance bar: bit-identical ReplayResults on FB-2010-style
 // traces for every policy, with and without failure injection.
@@ -855,6 +856,97 @@ TEST(EngineBaselineTest, BitIdenticalToLegacyWithAdmissionControl) {
   }
 }
 
+TEST(EngineBaselineTest, ArrivalAtCompletionTimePopsFirst) {
+  // Integer times on a tight cluster: job 2 is submitted at exactly t=10,
+  // when job 1's first map wave completes, and the integer tail keeps
+  // submissions landing on wave completions. The legacy engine queued
+  // every arrival up front with a lower seq than any task event, so the
+  // arrival pops first and job 2 competes for the slots that wave frees.
+  trace::Trace t;
+  t.AddJob(SimpleJob(1, 0.0, 4, 40.0, 1, 10.0, 5e12));
+  t.AddJob(SimpleJob(2, 10.0, 1, 10.0));
+  Pcg32 rng(15, /*stream=*/0x7e);
+  for (uint64_t id = 3; id <= 60; ++id) {
+    const int64_t maps = rng.NextInt(1, 6);
+    const int64_t reduces = rng.NextInt(0, 2);
+    t.AddJob(SimpleJob(id, 10.0 * static_cast<double>(id / 2), maps,
+                       10.0 * static_cast<double>(maps * rng.NextInt(1, 2)),
+                       reduces, 10.0 * static_cast<double>(reduces),
+                       rng.NextBernoulli(0.3) ? 5e12 : 1e6));
+  }
+  for (const char* policy : {"fifo", "fair", "two-tier", "srpt", "deadline"}) {
+    ReplayOptions options = SmallCluster(policy);
+    options.cluster.reduce_slots_per_node = 1;
+    auto current = ReplayTrace(t, options);
+    auto legacy = ReplayTraceLegacy(t, options);
+    ASSERT_TRUE(current.ok());
+    ASSERT_TRUE(legacy.ok());
+    ExpectBitIdentical(*current, *legacy, policy);
+  }
+}
+
+TEST(EngineBaselineTest, NodeLossKeepsFiringThroughIdleGap) {
+  // Two bursts two days apart: every task of the first burst finishes
+  // long before the second is submitted, so node losses fire while
+  // nothing is in flight and only arrivals remain. They must keep
+  // rescheduling through the gap, as they did when arrivals sat in the
+  // event queue.
+  trace::Trace t;
+  for (uint64_t id = 1; id <= 20; ++id) {
+    const double burst = id <= 10 ? 0.0 : 2.0 * 86400.0;
+    t.AddJob(SimpleJob(id, burst + 30.0 * static_cast<double>(id), 6, 600.0,
+                       2, 120.0));
+  }
+  for (const char* policy : {"fifo", "fair", "two-tier", "srpt", "deadline"}) {
+    ReplayOptions options = SmallCluster(policy);
+    options.failures.node_loss_per_hour = 1.0;
+    options.failures.max_attempts = 10;
+    auto current = ReplayTrace(t, options);
+    auto legacy = ReplayTraceLegacy(t, options);
+    ASSERT_TRUE(current.ok());
+    ASSERT_TRUE(legacy.ok());
+    EXPECT_GT(current->failures.node_losses, 24) << policy;
+    ExpectBitIdentical(*current, *legacy, std::string(policy) + "+gap");
+  }
+}
+
+TEST(EngineBaselineTest, OutOfOrderTraceReplaysInSubmitOrder) {
+  // Workflow traces are built with AddJob at random submit times, and
+  // background jobs are then appended in reverse submit order, so the
+  // trace is assembled unsorted. The arrival cursor walks jobs() as a
+  // time-ordered stream; it must replay exactly what the legacy engine's
+  // single priority queue orders, dependencies and failures included.
+  frameworks::WorkflowGeneratorOptions generator;
+  generator.workflows = 40;
+  generator.span_seconds = 4 * 3600.0;
+  generator.seed = 23;
+  auto workflows = frameworks::GenerateWorkflowTrace(generator);
+  ASSERT_TRUE(workflows.ok());
+  trace::Trace t = workflows->trace;
+  Pcg32 rng(29, /*stream=*/0xb9);
+  for (uint64_t k = 0; k < 60; ++k) {
+    const int64_t maps = rng.NextInt(1, 40);
+    t.AddJob(SimpleJob(100000 + k, 4 * 3600.0 - 240.0 * static_cast<double>(k),
+                       maps, static_cast<double>(maps) * 30.0,
+                       rng.NextInt(0, 3), 60.0,
+                       rng.NextBernoulli(0.5) ? 5e12 : 1e6));
+  }
+  for (const char* policy : {"fifo", "fair", "two-tier", "srpt", "deadline"}) {
+    ReplayOptions options;
+    options.cluster.nodes = 4;
+    options.scheduler = policy;
+    options.dependencies = workflows->dependencies;
+    options.failures.task_failure_probability = 0.05;
+    options.failures.node_loss_per_hour = 1.0;
+    options.failures.max_attempts = 4;
+    auto current = ReplayTrace(t, options);
+    auto legacy = ReplayTraceLegacy(t, options);
+    ASSERT_TRUE(current.ok());
+    ASSERT_TRUE(legacy.ok());
+    ExpectBitIdentical(*current, *legacy, std::string(policy) + "+unsorted");
+  }
+}
+
 // --- SLA tier: deadlines, preemption, admission control --------------------
 
 TEST(SlaTest, RejectsBadSlaOptions) {
@@ -881,7 +973,7 @@ TEST(SlaTest, RejectsBadSlaOptions) {
 
 TEST(SlaTest, LegacyEngineRejectsPreemption) {
   // The frozen oracle predates preemption and must refuse rather than
-  // silently diverge from the calendar engine.
+  // silently diverge from ReplayTrace.
   trace::Trace t;
   t.AddJob(SimpleJob(1, 0.0, 1, 10));
   ReplayOptions options = SmallCluster("fifo");

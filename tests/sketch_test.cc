@@ -1,6 +1,6 @@
 // Tests for the streaming sketch layer: GK quantiles against the
-// SortedStats oracle, P2 convergence, Space-Saving against exact counts,
-// and sliding-window exactness.
+// SortedStats oracle, Space-Saving against exact counts, and
+// sliding-window exactness.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include "gtest/gtest.h"
 #include "stats/descriptive.h"
 #include "stats/sketch/gk_quantile.h"
-#include "stats/sketch/p2_quantile.h"
 #include "stats/sketch/sliding_window.h"
 #include "stats/sketch/space_saving.h"
 #include "stats/zipf.h"
@@ -174,30 +173,6 @@ TEST(GkQuantileTest, MergeWithEmptyAndSelf) {
   // Self-merged median still lands mid-range.
   EXPECT_NEAR(gk.Quantile(0.5), 500.0, 0.02 * 2000.0);
   (void)sorted_once;
-}
-
-// --- P2 single-quantile ---------------------------------------------------
-
-TEST(P2QuantileTest, ExactUnderFiveSamples) {
-  P2Quantile p2(0.5);
-  p2.Add(3.0);
-  EXPECT_EQ(p2.Estimate(), 3.0);
-  p2.Add(1.0);
-  p2.Add(2.0);
-  EXPECT_EQ(p2.Estimate(), 2.0);
-}
-
-TEST(P2QuantileTest, ConvergesOnUniform) {
-  Pcg32 rng(11, 2);
-  P2Quantile median(0.5);
-  P2Quantile p90(0.9);
-  for (int i = 0; i < 100000; ++i) {
-    const double v = rng.NextDouble();
-    median.Add(v);
-    p90.Add(v);
-  }
-  EXPECT_NEAR(median.Estimate(), 0.5, 0.02);
-  EXPECT_NEAR(p90.Estimate(), 0.9, 0.02);
 }
 
 // --- Space-Saving ---------------------------------------------------------

@@ -20,7 +20,7 @@
 // per-class multiplier (--sla-multiplier small[,large]); the report adds
 // per-class SLA-miss fractions. --scheduler srpt|deadline selects the
 // size-based and EDF policies; --preemption-budget enables elephant
-// preemption (calendar engine only); --tenants/--tenant-cap turn on
+// preemption (not the legacy engine); --tenants/--tenant-cap turn on
 // per-tenant admission control. Policy names are validated up front -
 // unknown names are a hard error listing the valid policies.
 //
