@@ -7,10 +7,9 @@
 namespace swim {
 
 /// Read-only view over a contiguous sequence — the sliver of std::span
-/// (C++20) this codebase needs. Lets one interface accept both
-/// std::vector<T> and ArenaVector<T> without copying: the replay engine's
-/// hot-path containers are arena-backed while tests and the legacy engine
-/// use plain vectors, and Scheduler::PickJob must serve both.
+/// (C++20) this codebase needs: columnar trace views hand out columns of
+/// mapped file bytes as Spans, and Scheduler::PickJob reads the replay
+/// engines' job tables through them without copying.
 template <typename T>
 class Span {
  public:
@@ -19,7 +18,7 @@ class Span {
       : data_(data), size_(size) {}
 
   /// Implicit view of any contiguous container whose data() yields
-  /// something convertible to const T* (std::vector, ArenaVector, ...).
+  /// something convertible to const T* (std::vector, std::array, ...).
   template <typename C,
             typename = std::enable_if_t<std::is_convertible_v<
                 decltype(std::declval<const C&>().data()), const T*>>>

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -28,9 +27,8 @@ namespace swim::sim {
 ///                   stream and assert identical pop order).
 ///   DaryEventHeap:  4-ary implicit heap, O(log n) with a ~2x better
 ///                   constant than the binary heap (shallower tree,
-///                   cache-friendly sift-down over 4 children). It takes
-///                   an allocator (default std::allocator) so the replay
-///                   engine can back it with a per-lane Arena.
+///                   cache-friendly sift-down over 4 children); the
+///                   replay engine's queue.
 ///
 /// The replay engine keeps only in-flight events (task waves, wakes, node
 /// losses) in its queue; job arrivals stream from the submit-sorted
@@ -71,12 +69,9 @@ class HeapEventQueue {
 };
 
 /// 4-ary implicit min-heap on (time, seq).
-template <typename E, typename Alloc = std::allocator<E>>
+template <typename E>
 class DaryEventHeap {
  public:
-  DaryEventHeap() = default;
-  explicit DaryEventHeap(const Alloc& alloc) : heap_(alloc) {}
-
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 
@@ -127,7 +122,7 @@ class DaryEventHeap {
     }
   }
 
-  std::vector<E, Alloc> heap_;
+  std::vector<E> heap_;
 };
 
 }  // namespace swim::sim

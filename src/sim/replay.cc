@@ -28,16 +28,16 @@
 //   - OccupancyMeter jumps idle gaps in one step instead of looping
 //     bucket-by-bucket across hours where nothing was running.
 //
-// For sweep throughput the run is split in two phases (ISSUE 6): a
+// For sweep throughput the run is split in two phases: a
 // per-trace ReplayTemplate build (SimJob skeletons, dependency CSR, job
 // index — computed once, shared immutably across all configurations) and
-// a cheap per-config run whose every container is backed by a per-lane
-// Arena, so a warm sweep lane replays a configuration with ~zero heap
-// mallocs. ReplayTrace == Build + one Replay, so single runs, sweeps,
-// and the legacy oracle all agree bit for bit.
+// a cheap per-config run over plain heap vectors. ReplayTrace == Build +
+// one Replay, so single runs, sweeps, and the legacy oracle all agree bit
+// for bit.
 #include "sim/replay.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/random.h"
@@ -48,6 +48,9 @@ namespace swim::sim {
 namespace {
 
 constexpr size_t kNone = static_cast<size_t>(-1);
+
+/// ReplayTemplate::Build calls in this process (ReplayTemplate::BuildCount).
+std::atomic<uint64_t> build_count{0};
 
 /// Tasks of a kind within a job are homogeneous, so a wave of them is
 /// simulated as one event carrying a count - this keeps event volume
@@ -81,7 +84,7 @@ struct Event {
 /// (h+1)*3600 boundaries - so bucket contents stay bit-identical.
 class OccupancyMeter {
  public:
-  void Advance(double now, int64_t busy_slots, ArenaVector<double>& buckets) {
+  void Advance(double now, int64_t busy_slots, std::vector<double>& buckets) {
     if (now <= last_time_) {
       last_time_ = std::max(last_time_, now);
       return;
@@ -172,17 +175,9 @@ Status ValidateSlaOptions(const SlaOptions& sla) {
 /// streams are consumed at the same call sites, and scheduler decisions
 /// are independent of runnable list order (pinned tie-breaks), so
 /// results match ReplayTraceLegacy bit for bit.
-///
-/// Every per-run container draws from `arena` (heap fallback when null):
-/// the job table copy, both runnable lists and their position indexes,
-/// the parked-job heap, the active-list links, the occupancy buckets,
-/// and the in-flight event heap. The ReplayResult
-/// handed back owns plain heap memory so it survives the lane's
-/// arena->Reset() between configurations.
 class ReplayEngine {
  public:
-  ReplayEngine(const ReplayTemplate& tpl, const ReplayOptions& options,
-               Arena* arena)
+  ReplayEngine(const ReplayTemplate& tpl, const ReplayOptions& options)
       : tpl_(tpl),
         options_(options),
         failures_(options.failures),
@@ -192,25 +187,7 @@ class ReplayEngine {
         // with the model disabled these are never consulted, keeping
         // output bit-identical to pre-failure-model replays).
         failure_rng_(options.seed, /*stream=*/0xfa11),
-        loss_rng_(options.seed, /*stream=*/0x10e5),
-        jobs_(ArenaAllocator<SimJob>(arena)),
-        queue_(ArenaAllocator<Event>(arena)),
-        occupancy_slot_seconds_(ArenaAllocator<double>(arena)),
-        arrived_(ArenaAllocator<uint8_t>(arena)),
-        parked_(ArenaAllocator<uint8_t>(arena)),
-        map_pos_(ArenaAllocator<size_t>(arena)),
-        reduce_pos_(ArenaAllocator<size_t>(arena)),
-        runnable_maps_(ArenaAllocator<size_t>(arena)),
-        runnable_reduces_(ArenaAllocator<size_t>(arena)),
-        in_active_(ArenaAllocator<uint8_t>(arena)),
-        active_prev_(ArenaAllocator<size_t>(arena)),
-        active_next_(ArenaAllocator<size_t>(arena)),
-        parked_heap_(ArenaAllocator<std::pair<double, size_t>>(arena)),
-        admitted_(ArenaAllocator<uint8_t>(arena)),
-        adm_next_(ArenaAllocator<size_t>(arena)),
-        adm_head_(ArenaAllocator<size_t>(arena)),
-        adm_tail_(ArenaAllocator<size_t>(arena)),
-        tenant_running_(ArenaAllocator<int64_t>(arena)) {}
+        loss_rng_(options.seed, /*stream=*/0x10e5) {}
 
   StatusOr<ReplayResult> Run();
 
@@ -223,7 +200,7 @@ class ReplayEngine {
   // stage). Membership only changes at the transition points below, each
   // of which calls Refresh - an idempotent O(1) resync of both lists.
 
-  void SetMembership(ArenaVector<size_t>& list, ArenaVector<size_t>& pos,
+  void SetMembership(std::vector<size_t>& list, std::vector<size_t>& pos,
                      size_t i, bool want) {
     const bool have = pos[i] != kNone;
     if (want == have) return;
@@ -344,10 +321,10 @@ class ReplayEngine {
   Pcg32 failure_rng_;
   Pcg32 loss_rng_;
 
-  ArenaVector<SimJob> jobs_;
+  std::vector<SimJob> jobs_;
   std::unique_ptr<Scheduler> scheduler_;
   /// In-flight events only; arrivals stream from jobs_ via next_arrival_.
-  DaryEventHeap<Event, ArenaAllocator<Event>> queue_;
+  DaryEventHeap<Event> queue_;
   size_t next_arrival_ = 0;
   uint64_t seq_ = 0;
 
@@ -357,40 +334,40 @@ class ReplayEngine {
   int64_t free_reduce_slots_ = 0;
   SchedulerContext context_;
   OccupancyMeter meter_;
-  ArenaVector<double> occupancy_slot_seconds_;
+  std::vector<double> occupancy_slot_seconds_;
   ReplayResult result_;
 
-  ArenaVector<uint8_t> arrived_;
-  ArenaVector<uint8_t> parked_;
-  ArenaVector<size_t> map_pos_;
-  ArenaVector<size_t> reduce_pos_;
-  ArenaVector<size_t> runnable_maps_;
-  ArenaVector<size_t> runnable_reduces_;
+  std::vector<uint8_t> arrived_;
+  std::vector<uint8_t> parked_;
+  std::vector<size_t> map_pos_;
+  std::vector<size_t> reduce_pos_;
+  std::vector<size_t> runnable_maps_;
+  std::vector<size_t> runnable_reduces_;
 
-  ArenaVector<uint8_t> in_active_;
-  ArenaVector<size_t> active_prev_;
-  ArenaVector<size_t> active_next_;
+  std::vector<uint8_t> in_active_;
+  std::vector<size_t> active_prev_;
+  std::vector<size_t> active_next_;
   size_t active_head_ = kNone;
   size_t active_tail_ = kNone;
 
   /// (retry_ready_time, job index) min-heap of parked jobs. Entries are
   /// lazy: retry_ready_time may have been raised after an entry was
   /// pushed, in which case the stale entry re-parks itself on pop.
-  ArenaVector<std::pair<double, size_t>> parked_heap_;
+  std::vector<std::pair<double, size_t>> parked_heap_;
 
   // --- Admission control state (sized only when enabled) ---------------
   /// Whether job i currently holds its tenant's token. A job acquires the
   /// token once (at eligibility or when popped from the park queue) and
   /// returns it once (finish or kill), so parking happens at most once
   /// per job.
-  ArenaVector<uint8_t> admitted_;
+  std::vector<uint8_t> admitted_;
   /// Intrusive per-tenant FIFO park queues: adm_next_[i] links jobs, one
   /// (head, tail) pair per tenant.
-  ArenaVector<size_t> adm_next_;
-  ArenaVector<size_t> adm_head_;
-  ArenaVector<size_t> adm_tail_;
+  std::vector<size_t> adm_next_;
+  std::vector<size_t> adm_head_;
+  std::vector<size_t> adm_tail_;
   /// Tokens held per tenant (admitted jobs not yet finished/killed).
-  ArenaVector<int64_t> tenant_running_;
+  std::vector<int64_t> tenant_running_;
 
   /// Elephant preemption: revocations remaining this run.
   int64_t preempt_budget_left_ = 0;
@@ -577,7 +554,7 @@ bool ReplayEngine::PreemptKind(TaskKind kind, double now) {
   int64_t& free_slots =
       kind == TaskKind::kMap ? free_map_slots_ : free_reduce_slots_;
   if (free_slots > 0) return false;
-  const ArenaVector<size_t>& runnable =
+  const std::vector<size_t>& runnable =
       kind == TaskKind::kMap ? runnable_maps_ : runnable_reduces_;
   // Earliest-submitted interactive job with unlaunched tasks of `kind`
   // (ties to lowest index, like every policy).
@@ -692,7 +669,7 @@ bool ReplayEngine::GrantKind(TaskKind kind, double now) {
   int64_t& free_slots =
       kind == TaskKind::kMap ? free_map_slots_ : free_reduce_slots_;
   if (free_slots <= 0) return false;
-  const ArenaVector<size_t>& runnable =
+  const std::vector<size_t>& runnable =
       kind == TaskKind::kMap ? runnable_maps_ : runnable_reduces_;
   if (runnable.empty()) return false;
   int64_t total_slots =
@@ -778,9 +755,15 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   scheduler_ = std::move(scheduler).value();
   preempt_budget_left_ = options_.sla.preemption_budget;
 
+  // The outcomes buffer is the one allocation that outlives the run, so
+  // it is made before the run's transient tables. malloc gives memory
+  // back only from the top of a heap; allocated after the tables, the
+  // outcomes would sit above them and pin their pages between sweep cells.
+  result_.outcomes.reserve(tpl_.job_count());
+
   // The per-trace build phase already happened (shared ReplayTemplate);
   // a run starts from a bulk copy of the skeletons — SimJob is trivially
-  // copyable, so this is one memcpy-shaped pass into the lane's arena.
+  // copyable, so this is one memcpy-shaped pass.
   jobs_.assign(tpl_.jobs().begin(), tpl_.jobs().end());
 
   const size_t n = jobs_.size();
@@ -791,8 +774,6 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   in_active_.assign(n, 0);
   active_prev_.assign(n, kNone);
   active_next_.assign(n, kNone);
-  // Worst-case capacity up front: growth inside a monotonic arena would
-  // abandon the old buffer until the lane resets.
   runnable_maps_.reserve(n);
   runnable_reduces_.reserve(n);
 
@@ -816,10 +797,6 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   free_reduce_slots_ = total_reduce_slots_;
 
   result_.scheduler = scheduler_->name();
-  // The result is returned to the caller and must survive the lane's
-  // arena reset, so outcomes stay heap-backed; one reservation keeps the
-  // run's heap traffic to a handful of calls.
-  result_.outcomes.reserve(n);
 
   const double first_submit = tpl_.first_submit();
   const double loss_rate_per_second = failures_.node_loss_per_hour / 3600.0;
@@ -1088,6 +1065,7 @@ bool SameDependencies(
 
 StatusOr<ReplayTemplate> ReplayTemplate::Build(const trace::Trace& trace,
                                                const ReplayOptions& base) {
+  build_count.fetch_add(1, std::memory_order_relaxed);
   if (trace.empty()) return InvalidArgumentError("empty trace");
   if (base.max_tasks_per_job < 1) {
     return InvalidArgumentError("max_tasks_per_job must be >= 1");
@@ -1186,6 +1164,10 @@ StatusOr<ReplayTemplate> ReplayTemplate::Build(const trace::Trace& trace,
   return tpl;
 }
 
+uint64_t ReplayTemplate::BuildCount() {
+  return build_count.load(std::memory_order_relaxed);
+}
+
 bool ReplayTemplate::Compatible(const ReplayOptions& options) const {
   return options.max_tasks_per_job == max_tasks_per_job_ &&
          options.small_job_bytes == small_job_bytes_ &&
@@ -1195,21 +1177,21 @@ bool ReplayTemplate::Compatible(const ReplayOptions& options) const {
          SameDependencies(options.dependencies, dependencies_);
 }
 
-StatusOr<ReplayResult> ReplayTemplate::Replay(const ReplayOptions& options,
-                                              Arena* arena) const {
+StatusOr<ReplayResult> ReplayTemplate::Replay(
+    const ReplayOptions& options) const {
   if (!Compatible(options)) {
     return InvalidArgumentError(
         "replay options disagree with the template's captured "
         "max_tasks_per_job / small_job_bytes / dependencies / SLA shape");
   }
-  return ReplayEngine(*this, options, arena).Run();
+  return ReplayEngine(*this, options).Run();
 }
 
 StatusOr<ReplayResult> ReplayTrace(const trace::Trace& trace,
                                    const ReplayOptions& options) {
   auto tpl = ReplayTemplate::Build(trace, options);
   if (!tpl.ok()) return tpl.status();
-  return tpl->Replay(options, /*arena=*/nullptr);
+  return tpl->Replay(options);
 }
 
 }  // namespace swim::sim

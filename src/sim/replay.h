@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/statusor.h"
 #include "sim/scheduler.h"
@@ -278,16 +277,14 @@ class ReplayTemplate {
   static StatusOr<ReplayTemplate> Build(const trace::Trace& trace,
                                         const ReplayOptions& base = {});
 
+  /// Number of Build() calls made in this process so far, successful or
+  /// not. Sweeps promise one build per distinct trace plus one per cell
+  /// that fails Compatible(); tests and bench_replay gate on the delta.
+  static uint64_t BuildCount();
+
   /// One configuration run against the shared skeletons, bit-identical
-  /// to ReplayTrace(trace, options) for compatible options. `arena`,
-  /// when non-null, backs every per-run container (job table, runnable
-  /// lists, event-queue buckets, ...); between runs the owning lane
-  /// calls arena->Reset() and the next run re-carves the same blocks, so
-  /// a warm lane replays a configuration with ~zero heap mallocs. The
-  /// returned ReplayResult owns ordinary heap memory and outlives any
-  /// arena reset.
-  StatusOr<ReplayResult> Replay(const ReplayOptions& options,
-                                Arena* arena = nullptr) const;
+  /// to ReplayTrace(trace, options) for compatible options.
+  StatusOr<ReplayResult> Replay(const ReplayOptions& options) const;
 
   /// True iff `options` agrees with the captured template-relevant
   /// fields (max_tasks_per_job, small_job_bytes, dependencies, SLA

@@ -42,9 +42,8 @@ struct SchedulerContext {
 /// detail). All built-in policies pin ties to (earliest submit time, then
 /// lowest job index).
 ///
-/// Tables are passed as Spans so the replay engine's arena-backed
-/// vectors and the legacy engine's (and tests') std::vectors share one
-/// interface.
+/// Tables are passed as read-only Spans: a policy reads the engine's job
+/// table and runnable list but cannot change them.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/parallel.h"
 
@@ -25,22 +24,21 @@ struct alignas(64) SweepSlot {
 
 /// Replays one cell inside its lane, preferring the shared template.
 StatusOr<ReplayResult> RunCell(const SweepConfig& config,
-                               const StatusOr<ReplayTemplate>* shared,
-                               Arena& arena) {
+                               const StatusOr<ReplayTemplate>* shared) {
   if (config.trace == nullptr) {
     return InvalidArgumentError("sweep config has no trace");
   }
   if (shared != nullptr) {
     if (!shared->ok()) return shared->status();
     if (shared->value().Compatible(config.options)) {
-      return shared->value().Replay(config.options, &arena);
+      return shared->value().Replay(config.options);
     }
   }
   // Template-relevant options differ from the cell that built the shared
   // template: private build, identical results, no sharing.
   auto own = ReplayTemplate::Build(*config.trace, config.options);
   if (!own.ok()) return std::move(own).status();
-  return own->Replay(config.options, &arena);
+  return own->Replay(config.options);
 }
 
 }  // namespace
@@ -76,10 +74,9 @@ std::vector<StatusOr<ReplayResult>> RunSweep(
 
   // Run phase: shared-nothing lanes. Lane t replays cells t, t+lanes,
   // t+2*lanes, ... (striding mixes the grid's systematically cheap and
-  // expensive cells across lanes) against its own Arena, Reset() between
-  // cells so every run after the first re-carves warm blocks. Each cell
-  // is a pure function of (template, options), so the slot contents are
-  // independent of the lane count.
+  // expensive cells across lanes). Each cell is a pure function of
+  // (template, options), so the slot contents are independent of the
+  // lane count.
   const int lanes = static_cast<int>(
       std::min<size_t>(ResolveParallelism(sweep_options.max_parallelism), n));
   std::vector<SweepSlot> slots(n);
@@ -88,13 +85,9 @@ std::vector<StatusOr<ReplayResult>> RunSweep(
   lane_tasks.reserve(lanes);
   for (int lane = 0; lane < lanes; ++lane) {
     lane_tasks.push_back([&, lane] {
-      Arena arena;
       for (size_t i = static_cast<size_t>(lane); i < n;
            i += static_cast<size_t>(lanes)) {
-        StatusOr<ReplayResult> local =
-            RunCell(configs[i], template_for[i], arena);
-        arena.Reset();
-        slots[i].value = std::move(local);
+        slots[i].value = RunCell(configs[i], template_for[i]);
         if (sweep_options.progress) {
           sweep_options.progress(
               done.fetch_add(1, std::memory_order_relaxed) + 1, n);

@@ -37,14 +37,13 @@ struct SweepOptions {
 /// Replays every configuration across the shared thread pool and returns
 /// the results in configuration order.
 ///
-/// Scaling design (the ISSUE 6 rebuild): the per-trace build work is
-/// hoisted into one shared ReplayTemplate per distinct trace (skeletons +
-/// dependency graph computed once, not once per cell), each worker lane
-/// owns a private Arena that backs all of a run's containers and is
-/// Reset() between cells (shared-nothing lanes, ~zero heap mallocs once
-/// warm), and result slots are cache-line-aligned with each cell's
-/// ReplayResult built lane-locally and move-assigned into its slot — no
-/// cross-lane write sharing on the hot path.
+/// Scaling design: the per-trace build work is hoisted into one shared
+/// ReplayTemplate per distinct trace (skeletons + dependency graph
+/// computed once, not once per cell, as ReplayTemplate::BuildCount()
+/// shows), lanes share nothing but that read-only template, and result
+/// slots are cache-line-aligned with each cell's ReplayResult built
+/// lane-locally and move-assigned into its slot — no cross-lane write
+/// sharing on the hot path.
 ///
 /// Determinism contract (how evaluation sweeps stay reproducible, per the
 /// paper's §7 methodology of comparing schedulers on the same replayed

@@ -1168,10 +1168,29 @@ TEST(SlaTest, PreemptionAndAdmissionComposeEndToEnd) {
 // --- ReplayTemplate: the shared build phase behind sweeps ------------------
 
 TEST(ReplayTemplateTest, BuildOnceReplayManyMatchesBothEngines) {
-  trace::Trace t = Fb2010Style(300, 61);
-  auto tpl = ReplayTemplate::Build(t);
-  ASSERT_TRUE(tpl.ok());
-  EXPECT_EQ(tpl->job_count(), 300u);
+  // One template replayed run after run: every run must equal a fresh
+  // ReplayTrace and the legacy engine, so no run leaves state behind.
+  auto replay_many = [](const std::string& name, const trace::Trace& t,
+                        const ReplayOptions& base,
+                        const std::vector<ReplayOptions>& runs) {
+    auto tpl = ReplayTemplate::Build(t, base);
+    ASSERT_TRUE(tpl.ok()) << name;
+    EXPECT_EQ(tpl->job_count(), t.size()) << name;
+    for (const ReplayOptions& options : runs) {
+      const std::string what = name + " " + options.scheduler + " seed " +
+                               std::to_string(options.seed);
+      auto shared = tpl->Replay(options);
+      auto direct = ReplayTrace(t, options);
+      auto legacy = ReplayTraceLegacy(t, options);
+      ASSERT_TRUE(shared.ok()) << what;
+      ASSERT_TRUE(direct.ok()) << what;
+      ASSERT_TRUE(legacy.ok()) << what;
+      ExpectBitIdentical(*shared, *direct, what);
+      ExpectBitIdentical(*shared, *legacy, what);
+    }
+  };
+
+  std::vector<ReplayOptions> runs;
   for (const char* policy : {"fifo", "fair", "two-tier"}) {
     for (uint64_t seed : {7u, 19u}) {
       ReplayOptions options;
@@ -1180,44 +1199,26 @@ TEST(ReplayTemplateTest, BuildOnceReplayManyMatchesBothEngines) {
       options.seed = seed;
       options.straggler_probability = 0.05;
       options.failures.task_failure_probability = 0.03;
-      auto shared = tpl->Replay(options);
-      auto direct = ReplayTrace(t, options);
-      auto legacy = ReplayTraceLegacy(t, options);
-      ASSERT_TRUE(shared.ok());
-      ASSERT_TRUE(direct.ok());
-      ASSERT_TRUE(legacy.ok());
-      ExpectBitIdentical(*shared, *direct, policy);
-      ExpectBitIdentical(*shared, *legacy, policy);
+      runs.push_back(options);
     }
   }
-}
+  replay_many("independent", Fb2010Style(300, 61), {}, runs);
 
-TEST(ReplayTemplateTest, ArenaResetReuseStaysBitIdentical) {
-  trace::Trace t = Fb2010Style(250, 33);
-  ReplayOptions base;
-  base.cluster.nodes = 8;
-  // Chain some jobs so the CSR dependency path runs arena-backed too.
-  for (uint64_t id = 10; id <= 250; id += 10) base.dependencies[id] = {id - 5};
-  auto tpl = ReplayTemplate::Build(t, base);
-  ASSERT_TRUE(tpl.ok());
-  Arena arena;
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    ReplayOptions options = base;
-    options.scheduler = (epoch % 2 == 0) ? "fair" : "two-tier";
-    options.seed = 100 + static_cast<uint64_t>(epoch);
-    auto warm = tpl->Replay(options, &arena);
-    arena.Reset();
-    auto fresh = tpl->Replay(options);  // no arena: plain heap
-    ASSERT_TRUE(warm.ok());
-    ASSERT_TRUE(fresh.ok());
-    ExpectBitIdentical(*warm, *fresh, "arena epoch");
+  // Chained jobs, so every run also walks the template's CSR dependency
+  // graph.
+  ReplayOptions chained;
+  chained.cluster.nodes = 8;
+  for (uint64_t id = 10; id <= 250; id += 10) {
+    chained.dependencies[id] = {id - 5};
   }
-  // Warm lanes re-carve blocks instead of growing the reservation.
-  const size_t reserved = arena.reserved_bytes();
-  ReplayOptions options = base;
-  auto again = tpl->Replay(options, &arena);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(arena.reserved_bytes(), reserved);
+  runs.clear();
+  for (uint64_t run = 0; run < 4; ++run) {
+    ReplayOptions options = chained;
+    options.scheduler = (run % 2 == 0) ? "fair" : "two-tier";
+    options.seed = 100 + run;
+    runs.push_back(options);
+  }
+  replay_many("chained", Fb2010Style(250, 33), chained, runs);
 }
 
 TEST(ReplayTemplateTest, RejectsOptionsTheTemplateWasNotBuiltFor) {

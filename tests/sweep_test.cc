@@ -2,6 +2,7 @@
 // back in configuration order, bit-identical at any worker-lane count
 // (SWIM_THREADS), with per-cell errors isolated to their slot.
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -154,8 +155,9 @@ TEST(SweepTest, EmptySweepReturnsEmpty) {
 }
 
 TEST(SweepTest, TemplateSweepMatchesPerConfigReplayAtEveryLaneCount) {
-  // The ISSUE 6 pin: the template+arena sweep path vs a fresh
-  // per-configuration ReplayTrace, bit-identical at 1, 4, and 8 lanes.
+  // The shared-template sweep path vs a fresh per-configuration
+  // ReplayTrace, bit-identical at 1, 4, and 8 lanes, with one template
+  // build per sweep: every cell is compatible with the first.
   trace::Trace t = MixedTrace(130);
   ReplayOptions base;
   base.cluster.nodes = 3;
@@ -169,7 +171,10 @@ TEST(SweepTest, TemplateSweepMatchesPerConfigReplayAtEveryLaneCount) {
     oracle.push_back(ReplayTrace(*config.trace, config.options));
   }
   for (int lanes : {1, 4, 8}) {
+    const uint64_t builds_before = ReplayTemplate::BuildCount();
     std::vector<StatusOr<ReplayResult>> swept = RunSweep(grid, lanes);
+    EXPECT_EQ(ReplayTemplate::BuildCount() - builds_before, 1u)
+        << "lanes=" << lanes;
     ASSERT_EQ(swept.size(), oracle.size());
     for (size_t i = 0; i < grid.size(); ++i) {
       ASSERT_TRUE(swept[i].ok()) << grid[i].label << " lanes=" << lanes;
@@ -279,7 +284,10 @@ TEST(SweepTest, IncompatibleCellsFallBackToPrivateBuilds) {
   configs.push_back({"rethresholded", &t, rethresholded});
   configs.push_back({"chained", &t, chained});
   configs.push_back({"tight-sla", &t, tight_sla});
+  const uint64_t builds_before = ReplayTemplate::BuildCount();
   std::vector<StatusOr<ReplayResult>> results = RunSweep(configs, 2);
+  // One shared build for "plain" plus one private build per fallback.
+  EXPECT_EQ(ReplayTemplate::BuildCount() - builds_before, 5u);
   ASSERT_EQ(results.size(), configs.size());
   for (size_t i = 0; i < configs.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << configs[i].label;
