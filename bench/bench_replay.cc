@@ -16,6 +16,13 @@
 // match exactly (latencies to the last bit) before timing counts -
 // disagreement is a correctness bug, not a perf result.
 //
+// Saturated scenario (informational, ungated): every policy replays CC-b,
+// synthesized to twice its job count, on 100 nodes - ccb-swim-sweep's
+// saturated cells. Runnable lists hold hundreds of jobs there and most
+// grants launch a single task, so these rows time the scheduler pick
+// path: FIFO and two-tier read the front of the index-ordered list, fair,
+// SRPT and deadline scan it.
+//
 // Sweep scenario: a 10k-configuration what-if grid - policy x
 // nodes x failure-model x seed - on a small trace, three ways:
 //   sweep/baseline   one ReplayTrace per cell (trace -> jobs conversion
@@ -28,7 +35,8 @@
 // bit-for-bit.
 //
 // --json <path> emits {name, jobs_per_sec, threads, median_seconds,
-// repeats, warmups} rows (jobs or configs per second). Hard gates:
+// repeats, warmups} rows (jobs or configs per second; saturated rows are
+// saturated/<policy>). Hard gates:
 // engine >= 4x legacy on the 1M-task replay; exactly one
 // ReplayTemplate::Build per RunSweep of the grid (one trace, every cell
 // compatible), counted by ReplayTemplate::BuildCount() so the gate
@@ -46,6 +54,8 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/units.h"
+#include "core/synth/synthesizer.h"
+#include "core/synth/workload_model.h"
 #include "sim/replay.h"
 #include "sim/sweep.h"
 #include "trace/trace.h"
@@ -153,6 +163,31 @@ int main(int argc, char** argv) {
               calendar.median_seconds, speedup);
   json.Add("replay/legacy", legacy, 1);
   json.Add("replay/calendar", calendar, 1);
+
+  // -- Saturated replay: the scheduler pick path, per policy --
+  bench::Banner("Saturated replay: CC-b synthesized 2x, 100 nodes");
+  trace::Trace ccb = bench::BenchTrace("CC-b");
+  auto model = core::BuildModel(ccb);
+  SWIM_CHECK_OK(model.status());
+  core::SynthesisOptions synthesis;
+  synthesis.job_count = 2 * ccb.size();
+  auto saturated = core::SynthesizeTrace(*model, synthesis);
+  SWIM_CHECK_OK(saturated.status());
+  std::printf("  %zu jobs, 100 nodes (informational)\n", saturated->size());
+  for (const char* policy : {"fifo", "fair", "two-tier", "srpt", "deadline"}) {
+    sim::ReplayOptions saturated_options;
+    saturated_options.cluster.nodes = 100;
+    saturated_options.scheduler = policy;
+    bench::BenchTiming timing =
+        bench::MedianOpsPerSec(saturated->size(), 0, 3, [&] {
+          auto r = sim::ReplayTrace(*saturated, saturated_options);
+          SWIM_CHECK_OK(r.status());
+        });
+    const std::string row = std::string("saturated/") + policy;
+    std::printf("  %-18s %12.0f jobs/s   (median %.3fs)\n", row.c_str(),
+                timing.ops_per_sec, timing.median_seconds);
+    json.Add(row, timing, 1);
+  }
 
   // -- 10k-configuration what-if sweep: baseline vs template vs lanes --
   bench::Banner("Sweep driver: 10k-configuration what-if grid");

@@ -17,14 +17,17 @@
 //     per-kind runnable lists at their state transitions (arrival, batch
 //     launch, batch completion/failure, parent finish, retry backoff,
 //     job kill), so a grant round touches only genuinely runnable jobs.
-//     Scheduler tie-breaks are pinned to (submit time, job index) - see
-//     scheduler.cc - so list order cannot leak into policy decisions.
+//     Each list is kept in ascending job index, which is submit order, so
+//     a policy's first-seen job wins its ties at (submit time, index) and
+//     FIFO and two-tier read their pick off the front of the list - see
+//     the contract in scheduler.h.
 //   - Jobs waiting out a retry backoff are parked in a small time-ordered
 //     heap and re-enter the runnable lists exactly when the grant round
 //     reaches retry_ready_time, replacing the per-grant timestamp check.
-//   - The active-job list (node-loss victim order) is an intrusive
-//     doubly-linked list in arrival order: O(1) unlink instead of the
-//     O(active) std::find + erase per job completion.
+//   - The active-job list is an intrusive doubly-linked list in arrival
+//     order: O(1) unlink instead of the O(active) std::find + erase per
+//     job completion. Node-loss and preemption victims are drawn from it,
+//     so neither scans the whole job table.
 //   - OccupancyMeter jumps idle gaps in one step instead of looping
 //     bucket-by-bucket across hours where nothing was running.
 //
@@ -172,9 +175,9 @@ Status ValidateSlaOptions(const SlaOptions& sla) {
 /// One replay run against a shared ReplayTemplate. Determinism contract:
 /// everything below is a pure function of (template, options); the event
 /// order equals the retired priority-queue engine's order, the RNG
-/// streams are consumed at the same call sites, and scheduler decisions
-/// are independent of runnable list order (pinned tie-breaks), so
-/// results match ReplayTraceLegacy bit for bit.
+/// streams are consumed at the same call sites, and schedulers see the
+/// runnable jobs in the retired engine's order (ascending index, which is
+/// arrival order), so results match ReplayTraceLegacy bit for bit.
 class ReplayEngine {
  public:
   ReplayEngine(const ReplayTemplate& tpl, const ReplayOptions& options)
@@ -198,22 +201,24 @@ class ReplayEngine {
   // not parked on a retry backoff, has no unfinished parents, and has
   // unlaunched tasks of that kind (reduces additionally wait for the map
   // stage). Membership only changes at the transition points below, each
-  // of which calls Refresh - an idempotent O(1) resync of both lists.
+  // of which calls Refresh - an idempotent resync of both lists. The
+  // lists stay sorted by job index: a binary search finds the slot, and
+  // the shift on insert or erase moves contiguous indices only. A
+  // per-job flag byte answers "already listed?" without the search, as
+  // most Refresh calls change nothing.
 
-  void SetMembership(std::vector<size_t>& list, std::vector<size_t>& pos,
-                     size_t i, bool want) {
-    const bool have = pos[i] != kNone;
-    if (want == have) return;
+  static constexpr uint8_t kListedMap = 1;
+  static constexpr uint8_t kListedReduce = 2;
+
+  void SetMembership(std::vector<size_t>& list, uint8_t flag, size_t i,
+                     bool want) {
+    if (want == ((listed_[i] & flag) != 0)) return;
+    listed_[i] ^= flag;
+    const auto it = std::lower_bound(list.begin(), list.end(), i);
     if (want) {
-      pos[i] = list.size();
-      list.push_back(i);
+      list.insert(it, i);
     } else {
-      const size_t p = pos[i];
-      const size_t last = list.back();
-      list[p] = last;
-      pos[last] = p;
-      list.pop_back();
-      pos[i] = kNone;
+      list.erase(it);
     }
   }
 
@@ -221,14 +226,14 @@ class ReplayEngine {
     const SimJob& job = jobs_[i];
     const bool base = arrived_[i] != 0 && !job.failed && parked_[i] == 0 &&
                       job.unfinished_parents == 0 && !job.admission_parked;
-    SetMembership(runnable_maps_, map_pos_, i,
+    SetMembership(runnable_maps_, kListedMap, i,
                   base && job.maps_launched < job.maps_total);
-    SetMembership(runnable_reduces_, reduce_pos_, i,
+    SetMembership(runnable_reduces_, kListedReduce, i,
                   base && job.maps_done() &&
                       job.reduces_launched < job.reduces_total);
   }
 
-  // --- Active list (arrival order, for node-loss victim selection) ----
+  // --- Active list (arrival order: node-loss and preemption victims) --
 
   void LinkActive(size_t i) {
     in_active_[i] = 1;
@@ -339,8 +344,9 @@ class ReplayEngine {
 
   std::vector<uint8_t> arrived_;
   std::vector<uint8_t> parked_;
-  std::vector<size_t> map_pos_;
-  std::vector<size_t> reduce_pos_;
+  /// kListedMap / kListedReduce bits: job i is in that runnable list.
+  std::vector<uint8_t> listed_;
+  /// Runnable job indices per kind, ascending.
   std::vector<size_t> runnable_maps_;
   std::vector<size_t> runnable_reduces_;
 
@@ -557,32 +563,27 @@ bool ReplayEngine::PreemptKind(TaskKind kind, double now) {
   const std::vector<size_t>& runnable =
       kind == TaskKind::kMap ? runnable_maps_ : runnable_reduces_;
   // Earliest-submitted interactive job with unlaunched tasks of `kind`
-  // (ties to lowest index, like every policy).
-  int want = -1;
-  double want_submit = std::numeric_limits<double>::max();
-  for (size_t index : runnable) {
-    const SimJob& job = jobs_[index];
-    if (!job.is_small) continue;
-    if (want < 0 || job.submit_time < want_submit ||
-        (job.submit_time == want_submit &&
-         index < static_cast<size_t>(want))) {
-      want_submit = job.submit_time;
-      want = static_cast<int>(index);
-    }
-  }
-  if (want < 0) return false;
+  // (ties to lowest index, like every policy): the first small job in
+  // the index-ordered list.
+  const auto want_it =
+      std::find_if(runnable.begin(), runnable.end(),
+                   [this](size_t index) { return jobs_[index].is_small; });
+  if (want_it == runnable.end()) return false;
+  const size_t want = *want_it;
   // Victim: the large job with the most remaining work among those with
   // revocable running tasks of the kind (running minus tasks already
   // reserved by node-loss kills or earlier revocations). Ties break to
   // the latest-submitted, highest-index elephant - preempting the
   // youngest equal-size victim loses the least sunk scheduling progress.
+  // Only active jobs (arrived, neither finished nor killed) hold running
+  // tasks, and the active list runs in index order, so the walk covers
+  // it alone and the last job seen at the most work wins the tie.
   size_t victim = kNone;
   double victim_work = -1.0;
-  double victim_submit = -1.0;
   int64_t victim_revocable = 0;
-  for (size_t i = 0; i < jobs_.size(); ++i) {
+  for (size_t i = active_head_; i != kNone; i = active_next_[i]) {
     const SimJob& job = jobs_[i];
-    if (job.is_small || job.failed) continue;
+    if (job.is_small) continue;
     const int64_t pinned =
         kind == TaskKind::kMap
             ? job.kill_pending_maps + job.preempt_pending_maps
@@ -593,18 +594,14 @@ bool ReplayEngine::PreemptKind(TaskKind kind, double now) {
         pinned;
     if (revocable <= 0) continue;
     const double work = job.RemainingWork();
-    if (victim == kNone || work > victim_work ||
-        (work == victim_work &&
-         (job.submit_time > victim_submit ||
-          (job.submit_time == victim_submit && i > victim)))) {
+    if (work >= victim_work) {
       victim = i;
       victim_work = work;
-      victim_submit = job.submit_time;
       victim_revocable = revocable;
     }
   }
   if (victim == kNone) return false;
-  SimJob& interactive = jobs_[static_cast<size_t>(want)];
+  SimJob& interactive = jobs_[want];
   SimJob& elephant = jobs_[victim];
   const int64_t need =
       kind == TaskKind::kMap
@@ -636,7 +633,7 @@ bool ReplayEngine::PreemptKind(TaskKind kind, double now) {
   ++result_.sla.preemption_rounds;
   preempt_budget_left_ -= revoke;
   Refresh(victim);
-  LaunchBatch(static_cast<size_t>(want), kind, now, revoke);
+  LaunchBatch(want, kind, now, revoke);
   return true;
 }
 
@@ -769,8 +766,7 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   const size_t n = jobs_.size();
   arrived_.assign(n, 0);
   parked_.assign(n, 0);
-  map_pos_.assign(n, kNone);
-  reduce_pos_.assign(n, kNone);
+  listed_.assign(n, 0);
   in_active_.assign(n, 0);
   active_prev_.assign(n, kNone);
   active_next_.assign(n, kNone);

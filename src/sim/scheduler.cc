@@ -5,36 +5,11 @@
 #include "common/string_util.h"
 
 namespace swim::sim {
-namespace {
 
-/// Pinned tie-break shared by every policy: candidate `index` beats the
-/// incumbent `best` iff its submit time is strictly earlier, or equal
-/// with a lower job index. This makes PickJob a pure function of the
-/// runnable *set* - the order jobs happen to sit in the runnable list
-/// (arrival order in the legacy engine, swap-remove order in the
-/// incremental one) can never leak into scheduling decisions.
-bool BeatsOnSubmit(Span<SimJob> jobs, size_t index, int best,
-                   double best_submit) {
-  if (best < 0) return true;
-  double submit = jobs[index].submit_time;
-  if (submit != best_submit) return submit < best_submit;
-  return index < static_cast<size_t>(best);
-}
-
-}  // namespace
-
-int FifoScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
+int FifoScheduler::PickJob(Span<SimJob> /*jobs*/, Span<size_t> runnable,
                            TaskKind /*kind*/, int /*total_slots_of_kind*/,
                            const SchedulerContext& /*context*/) {
-  int best = -1;
-  double earliest = std::numeric_limits<double>::max();
-  for (size_t index : runnable) {
-    if (BeatsOnSubmit(jobs, index, best, earliest)) {
-      earliest = jobs[index].submit_time;
-      best = static_cast<int>(index);
-    }
-  }
-  return best;
+  return runnable.empty() ? -1 : static_cast<int>(runnable[0]);
 }
 
 int FairScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
@@ -42,14 +17,10 @@ int FairScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
                            const SchedulerContext& /*context*/) {
   int best = -1;
   int64_t fewest = std::numeric_limits<int64_t>::max();
-  double earliest = std::numeric_limits<double>::max();
   for (size_t index : runnable) {
-    const SimJob& job = jobs[index];
-    int64_t held = job.running_tasks();
-    if (held < fewest ||
-        (held == fewest && BeatsOnSubmit(jobs, index, best, earliest))) {
+    int64_t held = jobs[index].running_tasks();
+    if (held < fewest) {
       fewest = held;
-      earliest = job.submit_time;
       best = static_cast<int>(index);
     }
   }
@@ -59,32 +30,22 @@ int FairScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
 int TwoTierScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
                               TaskKind kind, int total_slots_of_kind,
                               const SchedulerContext& context) {
-  // Small tier first, FIFO within tier.
-  int best_small = -1;
-  int best_large = -1;
-  double earliest_small = std::numeric_limits<double>::max();
-  double earliest_large = std::numeric_limits<double>::max();
-  int64_t large_running = context.LargeRunning(kind);
+  // Small tier first, FIFO within tier: the first small job in the list,
+  // else the first large one.
+  int first_large = -1;
   for (size_t index : runnable) {
-    const SimJob& job = jobs[index];
-    if (job.is_small) {
-      if (BeatsOnSubmit(jobs, index, best_small, earliest_small)) {
-        earliest_small = job.submit_time;
-        best_small = static_cast<int>(index);
-      }
-    } else if (BeatsOnSubmit(jobs, index, best_large, earliest_large)) {
-      earliest_large = job.submit_time;
-      best_large = static_cast<int>(index);
-    }
+    if (jobs[index].is_small) return static_cast<int>(index);
+    if (first_large < 0) first_large = static_cast<int>(index);
   }
-  if (best_small >= 0) return best_small;
   int64_t large_cap = static_cast<int64_t>(
       large_share_ * static_cast<double>(total_slots_of_kind));
   // Tiny pools truncate the cap to 0 (1 slot x 0.7 share); with no small
   // job wanting the pool the capacity tier must still get >= 1 slot or
   // large jobs starve forever on 1-slot clusters.
   if (large_cap < 1) large_cap = 1;
-  if (best_large >= 0 && large_running < large_cap) return best_large;
+  if (first_large >= 0 && context.LargeRunning(kind) < large_cap) {
+    return first_large;
+  }
   return -1;
 }
 
@@ -106,13 +67,10 @@ int SrptScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
                            const SchedulerContext& /*context*/) {
   int best = -1;
   double least_work = std::numeric_limits<double>::max();
-  double earliest = std::numeric_limits<double>::max();
   for (size_t index : runnable) {
     double work = jobs[index].RemainingWork();
-    if (work < least_work ||
-        (work == least_work && BeatsOnSubmit(jobs, index, best, earliest))) {
+    if (work < least_work) {
       least_work = work;
-      earliest = jobs[index].submit_time;
       best = static_cast<int>(index);
     }
   }
@@ -125,35 +83,26 @@ int DeadlineScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
                                const SchedulerContext& context) {
   // Two ranked pools scanned in one pass: overdue jobs (deadline already
   // passed at context.now) ordered by least remaining work, then on-time
-  // jobs ordered by earliest deadline (no deadline ranks as +inf). Both
-  // orderings are pure functions of the runnable set, so list order never
-  // leaks into the pick.
+  // jobs ordered by earliest deadline (no deadline ranks as +inf). Ties
+  // go to the first job seen, the earliest submitted.
   int best_overdue = -1;
   double overdue_work = std::numeric_limits<double>::max();
-  double overdue_submit = std::numeric_limits<double>::max();
   int best_ontime = -1;
   double ontime_deadline = std::numeric_limits<double>::max();
-  double ontime_submit = std::numeric_limits<double>::max();
   for (size_t index : runnable) {
     const SimJob& job = jobs[index];
     const bool has_deadline = job.deadline >= 0.0;
     if (has_deadline && job.deadline < context.now) {
       double work = job.RemainingWork();
-      if (work < overdue_work ||
-          (work == overdue_work &&
-           BeatsOnSubmit(jobs, index, best_overdue, overdue_submit))) {
+      if (work < overdue_work) {
         overdue_work = work;
-        overdue_submit = job.submit_time;
         best_overdue = static_cast<int>(index);
       }
     } else {
       double deadline = has_deadline ? job.deadline
                                      : std::numeric_limits<double>::max();
-      if (deadline < ontime_deadline ||
-          (deadline == ontime_deadline &&
-           BeatsOnSubmit(jobs, index, best_ontime, ontime_submit))) {
+      if (best_ontime < 0 || deadline < ontime_deadline) {
         ontime_deadline = deadline;
-        ontime_submit = job.submit_time;
         best_ontime = static_cast<int>(index);
       }
     }

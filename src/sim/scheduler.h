@@ -36,11 +36,13 @@ struct SchedulerContext {
 /// grant the next free slot, or -1 to leave the slot idle. Called once per
 /// grant, so policies can be stateful.
 ///
-/// Determinism contract: PickJob must be a pure function of the runnable
-/// *set*, never of the order indices appear in `runnable` (the engine
-/// maintains that list incrementally and its order is an implementation
-/// detail). All built-in policies pin ties to (earliest submit time, then
-/// lowest job index).
+/// Order contract: `runnable` is in ascending job index, and the job
+/// table is in submit order (ReplayTemplate::Build indexes jobs as
+/// trace.jobs() yields them), so index order is (submit time, index)
+/// order. All built-in policies pin ties to (earliest submit time, then
+/// lowest job index) by scanning in list order and keeping the first job
+/// seen at the best key; FIFO and two-tier stop at the list front or at
+/// the first small job.
 ///
 /// Tables are passed as read-only Spans: a policy reads the engine's job
 /// table and runnable list but cannot change them.

@@ -1,9 +1,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "common/units.h"
 #include "frameworks/workflow.h"
@@ -551,38 +553,42 @@ TEST(OccupancyTest, MultiYearGapStillExact) {
 // --- Scheduler tie-breaking -------------------------------------------------
 
 TEST(SchedulerTieBreakTest, EqualJobsResolveBySubmitThenIndex) {
-  // Four identical jobs, two submit-time groups. Every policy must pick
-  // the earliest submit, lowest index - regardless of the order the
-  // runnable list presents them (the engine maintains that list
-  // incrementally, so its order is arbitrary by contract).
-  std::vector<SimJob> jobs(4);
-  std::vector<trace::JobRecord> records(4);
+  // Six jobs equal on every policy key, in submit order with runs of
+  // equal submit times, as ReplayTemplate::Build lays them out. Every
+  // policy, given any runnable subset as an index-ascending list (the
+  // PickJob contract), must pick the (earliest submit, lowest index) job,
+  // computed here by brute force.
+  const std::vector<double> submits = {50.0, 50.0, 100.0, 100.0, 100.0, 200.0};
+  std::vector<SimJob> jobs(submits.size());
+  std::vector<trace::JobRecord> records(submits.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    records[i] = SimpleJob(i + 1, i < 2 ? 100.0 : 50.0, 4, 40);
+    records[i] = SimpleJob(i + 1, submits[i], 4, 40);
     jobs[i].record = &records[i];
-    jobs[i].submit_time = records[i].submit_time;
+    jobs[i].submit_time = submits[i];
     jobs[i].maps_total = 4;
+    jobs[i].map_task_duration = 10.0;
+    jobs[i].deadline = 1000.0;
     jobs[i].is_small = true;
   }
   SchedulerContext context;
-  const std::vector<std::vector<size_t>> permutations = {
-      {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}};
   for (const char* policy : {"fifo", "fair", "two-tier", "srpt", "deadline"}) {
     auto scheduler = MakeScheduler(policy).value();
-    for (const auto& runnable : permutations) {
-      // Jobs 2 and 3 share submit 50 (earliest): index 2 must win.
+    for (uint32_t mask = 1; mask < (1u << jobs.size()); ++mask) {
+      std::vector<size_t> runnable;
+      size_t expected = jobs.size();
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        if ((mask & (1u << i)) == 0) continue;
+        runnable.push_back(i);
+        if (expected == jobs.size() ||
+            submits[i] < submits[expected] ||
+            (submits[i] == submits[expected] && i < expected)) {
+          expected = i;
+        }
+      }
       EXPECT_EQ(scheduler->PickJob(jobs, runnable, TaskKind::kMap, 8,
                                    context),
-                2)
-          << policy;
-    }
-    // With the earliest pair excluded, jobs 0/1 share submit 100: index 0.
-    for (const std::vector<size_t>& runnable :
-         {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
-      EXPECT_EQ(scheduler->PickJob(jobs, runnable, TaskKind::kMap, 8,
-                                   context),
-                0)
-          << policy;
+                static_cast<int>(expected))
+          << policy << " mask " << mask;
     }
   }
 }
@@ -600,9 +606,12 @@ TEST(SchedulerTieBreakTest, FairTieOnSlotCountsPinsToSubmitThenIndex) {
   FairScheduler fair;
   SchedulerContext context;
   for (const std::vector<size_t>& runnable :
-       {std::vector<size_t>{0, 1, 2}, std::vector<size_t>{2, 1, 0}}) {
+       {std::vector<size_t>{0, 1, 2}, std::vector<size_t>{1, 2}}) {
     EXPECT_EQ(fair.PickJob(jobs, runnable, TaskKind::kMap, 8, context), 1);
   }
+  EXPECT_EQ(fair.PickJob(jobs, std::vector<size_t>{0, 2}, TaskKind::kMap, 8,
+                         context),
+            2);
 }
 
 TEST(SchedulerTieBreakTest, SrptPicksLeastRemainingWorkUnderPermutation) {
@@ -703,6 +712,54 @@ trace::Trace Fb2010Style(size_t jobs, uint64_t seed) {
   return t;
 }
 
+/// A trace assembled out of submit order with long runs of equal submit
+/// times: each job lands on a random whole minute, and jobs are added in
+/// generation order, so Trace::jobs() must sort them and equal submits
+/// keep their insertion order. About ten jobs share each minute; 90% are
+/// small, 10% are multi-wave elephants with reduces.
+trace::Trace TiedSubmitTrace(size_t jobs, uint64_t seed) {
+  trace::Trace t;
+  Pcg32 rng(seed, /*stream=*/0x71e5);
+  const int64_t minutes = static_cast<int64_t>(jobs / 10);
+  for (size_t i = 0; i < jobs; ++i) {
+    const double submit = 60.0 * static_cast<double>(rng.NextInt(0, minutes));
+    if (rng.NextBernoulli(0.9)) {
+      int64_t maps = rng.NextInt(1, 4);
+      t.AddJob(SimpleJob(i + 1, submit, maps,
+                         static_cast<double>(maps) * rng.NextDouble(10, 60),
+                         rng.NextBernoulli(0.3) ? 1 : 0, 20.0, 1e6));
+    } else {
+      int64_t maps = rng.NextInt(40, 200);
+      int64_t reduces = rng.NextInt(2, 20);
+      t.AddJob(SimpleJob(
+          i + 1, submit, maps,
+          static_cast<double>(maps) * rng.NextDouble(60, 300), reduces,
+          static_cast<double>(reduces) * rng.NextDouble(30, 120), 5e12));
+    }
+  }
+  return t;
+}
+
+/// Most jobs arrived and not yet finished at any one time, from the
+/// outcomes: an upper bound on the runnable lists' length and, on a
+/// saturated cluster where queued jobs wait for their first slot, close
+/// to it.
+size_t PeakJobsInSystem(const ReplayResult& result) {
+  std::vector<std::pair<double, int>> edges;
+  for (const JobOutcome& o : result.outcomes) {
+    edges.emplace_back(o.submit_time, 1);
+    edges.emplace_back(o.submit_time + o.latency, -1);
+  }
+  std::sort(edges.begin(), edges.end());  // a finish sorts before a submit
+  size_t peak = 0;
+  int64_t in_system = 0;
+  for (const auto& edge : edges) {
+    in_system += edge.second;
+    peak = std::max(peak, static_cast<size_t>(in_system));
+  }
+  return peak;
+}
+
 void ExpectBitIdentical(const ReplayResult& a, const ReplayResult& b,
                         const std::string& what) {
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << what;
@@ -764,6 +821,65 @@ void ExpectBitIdentical(const ReplayResult& a, const ReplayResult& b,
               b.sla.tenants[i].max_admission_delay)
         << what;
   }
+}
+
+/// XXH64 over a canonical serialization of every ReplayResult field, in
+/// declaration order: integers widened to 64 bits, doubles and flags by
+/// their bytes (little-endian hosts), strings and vectors length-prefixed.
+/// Replays the legacy engine cannot run (preemption) are pinned to these
+/// digests instead of an oracle.
+uint64_t ResultDigest(const ReplayResult& r) {
+  std::string bytes;
+  auto put = [&bytes](auto value) {
+    char raw[sizeof(value)];
+    std::memcpy(raw, &value, sizeof(value));
+    bytes.append(raw, sizeof(value));
+  };
+  auto put_int = [&put](int64_t value) { put(value); };
+  put_int(static_cast<int64_t>(r.scheduler.size()));
+  bytes += r.scheduler;
+  put_int(static_cast<int64_t>(r.outcomes.size()));
+  for (const JobOutcome& o : r.outcomes) {
+    put_int(static_cast<int64_t>(o.job_id));
+    put(o.submit_time);
+    put(o.latency);
+    put(o.ideal_latency);
+    put(static_cast<uint8_t>(o.is_small));
+    put_int(o.retries);
+    put(o.deadline);
+    put(static_cast<uint8_t>(o.missed_sla));
+    put_int(o.tenant);
+    put_int(o.preempted_tasks);
+    put(o.admission_delay);
+  }
+  put_int(static_cast<int64_t>(r.unfinished_jobs));
+  put_int(r.failures.task_failures);
+  put_int(r.failures.node_losses);
+  put_int(r.failures.tasks_lost_to_nodes);
+  put_int(r.failures.retries);
+  put_int(r.failures.failed_jobs);
+  put(r.failures.failed_task_seconds);
+  put_int(r.sla.small_jobs_with_deadline);
+  put_int(r.sla.large_jobs_with_deadline);
+  put_int(r.sla.small_misses);
+  put_int(r.sla.large_misses);
+  put_int(r.sla.preemption_rounds);
+  put_int(r.sla.preempted_tasks);
+  put_int(r.sla.admission_parked_jobs);
+  put(r.sla.total_admission_delay);
+  put_int(static_cast<int64_t>(r.sla.tenants.size()));
+  for (const TenantStats& tenant : r.sla.tenants) {
+    put_int(tenant.tenant);
+    put_int(tenant.jobs);
+    put_int(tenant.parked_jobs);
+    put(tenant.total_admission_delay);
+    put(tenant.max_admission_delay);
+  }
+  put_int(static_cast<int64_t>(r.hourly_occupancy.size()));
+  for (double occupancy : r.hourly_occupancy) put(occupancy);
+  put(r.makespan);
+  put(r.utilization);
+  return Checksum64(bytes.data(), bytes.size());
 }
 
 TEST(EngineBaselineTest, BitIdenticalToLegacyAcrossPoliciesPlain) {
@@ -947,6 +1063,26 @@ TEST(EngineBaselineTest, OutOfOrderTraceReplaysInSubmitOrder) {
   }
 }
 
+TEST(EngineBaselineTest, SaturatedTiedSubmitsBitIdenticalToLegacy) {
+  // Hundreds of queued jobs, runs of equal submit times and a trace built
+  // out of order: every policy's tie-break among many equal candidates is
+  // exercised, and the engine's index-ordered runnable lists must pick
+  // exactly what the legacy engine's arrival-ordered rescan picks.
+  trace::Trace t = TiedSubmitTrace(1200, 41);
+  for (const char* policy : {"fifo", "fair", "two-tier", "srpt", "deadline"}) {
+    ReplayOptions options;
+    options.cluster.nodes = 1;
+    options.scheduler = policy;
+    auto current = ReplayTrace(t, options);
+    auto legacy = ReplayTraceLegacy(t, options);
+    ASSERT_TRUE(current.ok());
+    ASSERT_TRUE(legacy.ok());
+    EXPECT_EQ(current->unfinished_jobs, 0u) << policy;
+    EXPECT_GE(PeakJobsInSystem(*current), 300u) << policy;
+    ExpectBitIdentical(*current, *legacy, std::string(policy) + "+ties");
+  }
+}
+
 // --- SLA tier: deadlines, preemption, admission control --------------------
 
 TEST(SlaTest, RejectsBadSlaOptions) {
@@ -1062,6 +1198,25 @@ TEST(SlaTest, PreemptionBudgetIsBounded) {
   EXPECT_EQ(result->unfinished_jobs, 0u);
 }
 
+TEST(SlaTest, PreemptionRevokesYoungestOfEqualElephants) {
+  // Two identical single-task elephants fill the 2-slot pool, so their
+  // remaining work ties when the small job arrives. The one revocation
+  // the budget allows must come from the later-indexed elephant.
+  trace::Trace t;
+  t.AddJob(SimpleJob(1, 0.0, 1, 600.0, 0, 0, 1e13));
+  t.AddJob(SimpleJob(2, 0.0, 1, 600.0, 0, 0, 1e13));
+  t.AddJob(SimpleJob(3, 10.0, 1, 10, 0, 0, 1e6));
+  ReplayOptions options = SmallCluster("fifo");
+  options.sla.preemption_budget = 1;
+  auto result = ReplayTrace(t, options);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->outcomes.size(), 3u);
+  for (const auto& outcome : result->outcomes) {
+    EXPECT_EQ(outcome.preempted_tasks, outcome.job_id == 2 ? 1 : 0)
+        << outcome.job_id;
+  }
+}
+
 TEST(SlaTest, PreemptionComposesWithFailuresDeterministically) {
   // The acceptance bar for the preemptive tier: with stragglers, task
   // failures, and node losses all active, two runs are bit-identical.
@@ -1080,6 +1235,44 @@ TEST(SlaTest, PreemptionComposesWithFailuresDeterministically) {
   ASSERT_TRUE(b.ok());
   EXPECT_GT(a->sla.preempted_tasks, 0);
   ExpectBitIdentical(*a, *b, "preemption+failures determinism");
+}
+
+// The legacy engine rejects preemption, so these replays are pinned by
+// digest (ResultDigest) instead of an oracle. The digests were captured
+// before the runnable lists became index-ordered and PreemptKind stopped
+// scanning the whole job table; any change to preemption's picks,
+// revocations or accounting moves them.
+
+TEST(SlaTest, SaturatedTwoTierPreemptionDigestPinned) {
+  trace::Trace t = TiedSubmitTrace(1200, 43);
+  ReplayOptions options;
+  options.cluster.nodes = 2;
+  options.scheduler = "two-tier";
+  options.sla.preemption_budget = 100000;
+  auto result = ReplayTrace(t, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->sla.preemption_rounds, 0);
+  EXPECT_EQ(result->unfinished_jobs, 0u);
+  EXPECT_EQ(ResultDigest(*result), 17580017562214478617ull);
+}
+
+TEST(SlaTest, PreemptionFailuresAdmissionDigestPinned) {
+  trace::Trace t = TiedSubmitTrace(800, 47);
+  ReplayOptions options;
+  options.cluster.nodes = 2;
+  options.scheduler = "srpt";
+  options.sla.preemption_budget = 2000;
+  options.sla.tenants = 4;
+  options.sla.tenant_max_running = 6;
+  options.straggler_probability = 0.05;
+  options.failures.task_failure_probability = 0.03;
+  options.failures.node_loss_per_hour = 1.0;
+  auto result = ReplayTrace(t, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->sla.preemption_rounds, 0);
+  EXPECT_GT(result->sla.admission_parked_jobs, 0);
+  EXPECT_GT(result->failures.task_failures, 0);
+  EXPECT_EQ(ResultDigest(*result), 14606341016681871882ull);
 }
 
 TEST(SlaTest, AdmissionSerializesTenantJobs) {
