@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -78,9 +79,12 @@ std::string FirstWordOfJobName(std::string_view job_name) {
   return word;
 }
 
-bool ParseDouble(std::string_view text, double* value) {
-  std::string buffer(StripWhitespace(text));
-  if (buffer.empty()) return false;
+namespace {
+
+/// The strtod route ParseDouble takes for what from_chars refuses: a
+/// leading '+', hex floats, inf/nan, overflow and underflow to zero.
+bool ParseDoubleWithStrtod(std::string_view stripped, double* value) {
+  const std::string buffer(stripped);
   errno = 0;
   char* end = nullptr;
   double parsed = std::strtod(buffer.c_str(), &end);
@@ -93,13 +97,36 @@ bool ParseDouble(std::string_view text, double* value) {
   return true;
 }
 
+}  // namespace
+
+bool ParseDouble(std::string_view text, double* value) {
+  const std::string_view stripped = StripWhitespace(text);
+  if (stripped.empty()) return false;
+  // from_chars is correctly rounded, as strtod is, and needs no
+  // NUL-terminated copy. A finite result it fully accepts is the value
+  // strtod gives; everything else (including a NaN, whose payload
+  // from_chars drops) takes the strtod route, so the accepted set and every
+  // value stay exactly strtod's.
+  const char* last = stripped.data() + stripped.size();
+  double parsed = 0.0;
+  const auto [ptr, ec] = std::from_chars(stripped.data(), last, parsed);
+  if (ec == std::errc() && ptr == last && std::isfinite(parsed)) {
+    *value = parsed;
+    return true;
+  }
+  return ParseDoubleWithStrtod(stripped, value);
+}
+
 bool ParseInt64(std::string_view text, int64_t* value) {
-  std::string buffer(StripWhitespace(text));
-  if (buffer.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long parsed = std::strtoll(buffer.c_str(), &end, 10);
-  if (errno != 0 || end != buffer.c_str() + buffer.size()) return false;
+  std::string_view stripped = StripWhitespace(text);
+  // strtoll's syntax is from_chars' plus one explicit leading '+'.
+  if (stripped.size() > 1 && stripped[0] == '+' && stripped[1] != '-') {
+    stripped.remove_prefix(1);
+  }
+  const char* last = stripped.data() + stripped.size();
+  int64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(stripped.data(), last, parsed);
+  if (ec != std::errc() || ptr != last) return false;
   *value = parsed;
   return true;
 }

@@ -46,24 +46,6 @@ StatusOr<std::string> ReadFileTail(const std::string& path, uint64_t offset) {
   return bytes;
 }
 
-/// Length of the longest prefix of `chunk` ending at a record boundary: a
-/// newline at even quote parity. A half-flushed quoted field (odd parity)
-/// is left for the next poll. Returns 0 when no complete record is
-/// available yet.
-size_t CompleteRecordPrefix(const std::string& chunk) {
-  bool in_quote = false;
-  size_t cut = 0;
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    const char c = chunk[i];
-    if (c == '"') {
-      in_quote = !in_quote;
-    } else if (c == '\n' && !in_quote) {
-      cut = i + 1;
-    }
-  }
-  return cut;
-}
-
 }  // namespace
 
 TraceFollower::TraceFollower(std::string path, trace::TraceFormat format,
@@ -142,7 +124,8 @@ StatusOr<FollowPoll> TraceFollower::PollCsv() {
                         ReadFileTail(path_, consumed_bytes_));
   FollowPoll poll;
   poll.total_jobs = analyzer_.jobs_observed();
-  const size_t cut = CompleteRecordPrefix(chunk);
+  // A half-flushed record (or quoted field) is left for the next poll.
+  const size_t cut = trace::CompleteCsvPrefix(chunk);
   if (cut == 0) return poll;
   chunk.resize(cut);
 

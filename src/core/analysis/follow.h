@@ -27,11 +27,11 @@ namespace swim::core {
 //    dictionaries only ever grow), and streams only rows past the consumed
 //    mark. Section checksums are NOT re-verified per poll (that is O(file);
 //    run `swim_trace_tool verify` out of band for integrity audits).
-//  - CSV: Poll() reads bytes past the consumed offset and cuts at the last
-//    record boundary — a newline at even quote parity, so a half-flushed
-//    quoted field is never split — parses just that chunk (with the
-//    canonical header prepended after the first chunk), and streams the
-//    parsed rows.
+//  - CSV: Poll() reads bytes past the consumed offset and cuts after the
+//    last record that more bytes cannot change (trace::CompleteCsvPrefix,
+//    the parser's own record-boundary rule, so a half-flushed quoted field
+//    is never split), parses just that chunk (with the canonical header
+//    prepended after the first chunk), and streams the parsed rows.
 //
 // Either way a poll that observes a malformed state (shrunk file, mutated
 // prefix, corrupt header, unparseable chunk, out-of-order appends) returns
@@ -105,7 +105,7 @@ class TraceFollower {
   size_t seen_path_count_ = 0;
 
   // CSV state: byte offset of the first unconsumed byte (always a record
-  // boundary, so the cross-poll quote-parity state is always "outside").
+  // boundary, so each poll's chunk starts outside any quote).
   uint64_t consumed_bytes_ = 0;
   bool csv_header_consumed_ = false;
   bool csv_metadata_set_ = false;

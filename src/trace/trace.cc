@@ -5,6 +5,16 @@
 #include "common/logging.h"
 
 namespace swim::trace {
+namespace {
+
+bool SubmitSorted(const std::vector<JobRecord>& jobs) {
+  return std::is_sorted(jobs.begin(), jobs.end(),
+                        [](const JobRecord& a, const JobRecord& b) {
+                          return a.submit_time < b.submit_time;
+                        });
+}
+
+}  // namespace
 
 Trace::Trace(const Trace& other) {
   // Lock the source so a concurrent reader-triggered lazy sort on `other`
@@ -75,8 +85,10 @@ void Trace::AddJob(JobRecord job) {
 }
 
 void Trace::SetJobs(std::vector<JobRecord> jobs) {
+  // A stable sort of sorted input is the identity, so skip it: parsed and
+  // generated traces arrive in submit order.
+  sorted_.store(SubmitSorted(jobs), std::memory_order_relaxed);
   jobs_ = std::move(jobs);
-  sorted_.store(false, std::memory_order_relaxed);
   path_indexed_.store(false, std::memory_order_relaxed);
   name_indexed_.store(false, std::memory_order_relaxed);
   EnsureSorted();
@@ -89,12 +101,8 @@ void Trace::SetJobsWithIndexes(std::vector<JobRecord> jobs,
                                StringInterner name_interner,
                                std::vector<uint32_t> name_ids) {
   const size_t n = jobs.size();
-  const bool sorted = std::is_sorted(
-      jobs.begin(), jobs.end(), [](const JobRecord& a, const JobRecord& b) {
-        return a.submit_time < b.submit_time;
-      });
-  if (!sorted || input_path_ids.size() != n || output_path_ids.size() != n ||
-      name_ids.size() != n) {
+  if (!SubmitSorted(jobs) || input_path_ids.size() != n ||
+      output_path_ids.size() != n || name_ids.size() != n) {
     SetJobs(std::move(jobs));
     return;
   }

@@ -60,7 +60,8 @@ class Trace {
   /// Appends a job; re-sorts (stably) on the next read if ordering broke.
   void AddJob(JobRecord job);
 
-  /// Bulk replacement; takes ownership and sorts.
+  /// Bulk replacement; takes ownership and sorts (stably) unless `jobs` is
+  /// already in submit order.
   void SetJobs(std::vector<JobRecord> jobs);
 
   /// Bulk replacement with pre-built interned-id state — the columnar

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -307,21 +310,45 @@ Status DiagnosticToStatus(const ParseDiagnostic& diag) {
                               what);
 }
 
-/// Applies a "#key=value" metadata assignment to the trace.
-void ApplyMetadata(Trace* trace, std::string_view key, std::string_view value) {
-  if (key == "name") {
-    trace->mutable_metadata().name = std::string(value);
-  } else if (key == "machines") {
-    int64_t v = 0;
-    if (ParseInt64(value, &v)) {
-      trace->mutable_metadata().machines = static_cast<int>(v);
-    }
-  } else if (key == "year") {
-    int64_t v = 0;
-    if (ParseInt64(value, &v)) {
-      trace->mutable_metadata().year = static_cast<int>(v);
-    }
+/// "#key=value" metadata assignments, in file order; a later one wins.
+struct MetadataUpdate {
+  std::optional<std::string> name;
+  std::optional<int> machines;
+  std::optional<int> year;
+
+  void ApplyTo(TraceMetadata* metadata) const {
+    if (name) metadata->name = *name;
+    if (machines) metadata->machines = *machines;
+    if (year) metadata->year = *year;
   }
+};
+
+/// Reads one '#' comment line into `update`. The key ends at the first
+/// '=', so a value may itself hold '='. machines and year must be integers
+/// in [0, INT_MAX]; anything else fails the whole parse in every mode.
+/// Comments without '=' and unknown keys are ignored.
+Status ReadMetadataComment(std::string_view line, int line_number,
+                           MetadataUpdate* update) {
+  const size_t eq = line.find('=');
+  if (eq == std::string_view::npos) return Status::Ok();
+  const std::string_view key = line.substr(1, eq - 1);
+  const std::string_view value = line.substr(eq + 1);
+  if (key == "name") {
+    update->name = std::string(value);
+    return Status::Ok();
+  }
+  std::optional<int>* field = key == "machines" ? &update->machines
+                              : key == "year"   ? &update->year
+                                                : nullptr;
+  if (field == nullptr) return Status::Ok();
+  int64_t v = 0;
+  if (!ParseInt64(value, &v) || v < 0 ||
+      v > std::numeric_limits<int>::max()) {
+    return InvalidArgumentError("line " + std::to_string(line_number) +
+                                ": bad " + std::string(key));
+  }
+  *field = static_cast<int>(v);
+  return Status::Ok();
 }
 
 /// One logical CSV record: a view into the input plus the 1-based physical
@@ -331,69 +358,103 @@ struct CsvRecord {
   int line = 0;
 };
 
-/// Splits `text` into records with std::getline semantics ('\n' separated,
-/// no empty final record after a trailing newline, trailing '\r' stripped
-/// at each record end), extended with RFC 4180 quote continuation: a line
-/// with an open quote at its end pulls in following physical lines until
-/// the quote closes, so quoted fields may contain newlines. '#' comment
-/// lines never continue. Continuation is capped at kMaxRecordLines; an
-/// unclosed quote surfaces only its opening line (later flagged as
-/// unbalanced) and parsing resumes on the next physical line, which is what
-/// lets skip/repair modes recover from a single stray quote.
+/// Whether [begin, end) of `text` holds an odd number of '"'.
+bool OddQuotes(std::string_view text, size_t begin, size_t end) {
+  bool odd = false;
+  const char* p = text.data() + begin;
+  const char* const last = text.data() + end;
+  while ((p = static_cast<const char*>(
+              std::memchr(p, '"', static_cast<size_t>(last - p)))) !=
+         nullptr) {
+    odd = !odd;
+    ++p;
+  }
+  return odd;
+}
+
+/// Where the record starting at `pos` ends: its text is [pos, end) (a
+/// trailing '\r' still included), the next record starts at `after`, and it
+/// spans `lines` physical lines. `settled` is false when appending bytes to
+/// `text` could change any of these: the record's last line has no newline
+/// yet, or its quote is still open with room to close.
+struct RecordExtent {
+  size_t end = 0;
+  size_t after = 0;
+  int lines = 1;
+  bool settled = false;
+};
+
+/// The record-boundary rule: a record is one '\n'-terminated line, except
+/// that a line (not a '#' comment) left inside an open quote pulls in
+/// following lines until the quote closes, so quoted fields may contain
+/// newlines. Continuation is capped at kMaxRecordLines; an unclosed quote
+/// leaves the opening line alone as the record (the row parser flags it as
+/// unbalanced) and the next record starts on the next physical line, which
+/// is what lets skip/repair modes recover from a single stray quote.
+RecordExtent ScanRecord(std::string_view text, size_t pos) {
+  RecordExtent extent;
+  const size_t nl = text.find('\n', pos);
+  extent.settled = nl != std::string_view::npos;
+  extent.end = extent.settled ? nl : text.size();
+  extent.after = extent.settled ? nl + 1 : text.size();
+  if (text[pos] == '#' || !OddQuotes(text, pos, extent.end)) return extent;
+  size_t scan = extent.after;
+  bool line_complete = extent.settled;
+  bool open = true;
+  int span = 1;
+  while (scan < text.size() && span < kMaxRecordLines) {
+    const size_t cnl = text.find('\n', scan);
+    line_complete = cnl != std::string_view::npos;
+    const size_t cend = line_complete ? cnl : text.size();
+    if (OddQuotes(text, scan, cend)) open = !open;
+    ++span;
+    if (!open) {
+      return {cend, line_complete ? cnl + 1 : text.size(), span,
+              line_complete};
+    }
+    scan = line_complete ? cnl + 1 : text.size();
+  }
+  // Unclosed: the opening line stands alone. That is final only once the
+  // cap is reached on complete lines; before that, more bytes may close it.
+  extent.settled = span == kMaxRecordLines && line_complete;
+  return extent;
+}
+
+/// Splits `text` into records by ScanRecord, with std::getline semantics at
+/// the edges (no empty final record after a trailing newline, a trailing
+/// '\r' stripped at each record end).
 std::vector<CsvRecord> SplitRecords(std::string_view text) {
   std::vector<CsvRecord> records;
   size_t pos = 0;
   int line_no = 0;  // physical lines fully consumed
   while (pos < text.size()) {
-    const int record_line = line_no + 1;
-    size_t nl = text.find('\n', pos);
-    size_t end = (nl == std::string_view::npos) ? text.size() : nl;
-    size_t after = (nl == std::string_view::npos) ? text.size() : nl + 1;
-    int consumed = 1;
-
-    bool in_quotes = false;
-    if (text[pos] != '#') {
-      for (size_t i = pos; i < end; ++i) {
-        if (text[i] == '"') in_quotes = !in_quotes;
-      }
-    }
-    if (in_quotes) {
-      // Quote still open at end of line: scan continuation lines.
-      size_t scan = after;
-      int span = 1;
-      bool closed = false;
-      while (scan < text.size() && span < kMaxRecordLines) {
-        size_t cnl = text.find('\n', scan);
-        size_t cend = (cnl == std::string_view::npos) ? text.size() : cnl;
-        size_t cafter = (cnl == std::string_view::npos) ? text.size() : cnl + 1;
-        for (size_t i = scan; i < cend; ++i) {
-          if (text[i] == '"') in_quotes = !in_quotes;
-        }
-        ++span;
-        if (!in_quotes) {
-          end = cend;
-          after = cafter;
-          consumed = span;
-          closed = true;
-          break;
-        }
-        scan = cafter;
-      }
-      if (!closed) {
-        // Unbalanced: keep only the opening physical line (end/after/
-        // consumed already describe it) and let the row parser flag it.
-      }
-    }
-    std::string_view record = text.substr(pos, end - pos);
+    const RecordExtent extent = ScanRecord(text, pos);
+    std::string_view record = text.substr(pos, extent.end - pos);
     if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
-    records.push_back({record, record_line});
-    line_no += consumed;
-    pos = after;
+    records.push_back({record, line_no + 1});
+    line_no += extent.lines;
+    pos = extent.after;
   }
   return records;
 }
 
 }  // namespace
+
+size_t CompleteCsvPrefix(std::string_view text) {
+  if (text.empty()) return 0;
+  // With no quote anywhere every newline ends a record.
+  if (std::memchr(text.data(), '"', text.size()) == nullptr) {
+    const size_t nl = text.rfind('\n');
+    return nl == std::string_view::npos ? 0 : nl + 1;
+  }
+  size_t pos = 0;
+  while (pos < text.size()) {
+    const RecordExtent extent = ScanRecord(text, pos);
+    if (!extent.settled) break;
+    pos = extent.after;
+  }
+  return pos;
+}
 
 StatusOr<ParseMode> ParseModeFromName(std::string_view name) {
   std::string normalized = ToLower(name);
@@ -491,12 +552,13 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
   // Sequential prologue: metadata comments up to and including the header.
   size_t first_data = records.size();
   bool header_seen = false;
+  MetadataUpdate prologue;
   for (size_t i = 0; i < records.size(); ++i) {
     std::string_view line = records[i].text;
     if (line.empty()) continue;
     if (line[0] == '#') {
-      auto parts = Split(line.substr(1), '=');
-      if (parts.size() == 2) ApplyMetadata(&trace, parts[0], parts[1]);
+      SWIM_RETURN_IF_ERROR(
+          ReadMetadataComment(line, records[i].line, &prologue));
       continue;
     }
     if (line != kTraceCsvHeader) {
@@ -508,15 +570,17 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
     break;
   }
   if (!header_seen) return InvalidArgumentError("missing CSV header");
+  prologue.ApplyTo(&trace.mutable_metadata());
 
   // Data region: fixed-size record shards parsed concurrently. Each shard
   // collects its jobs, any "#key=value" assignments, its report fragment,
-  // and (strict mode) its first error; merging in shard order reproduces
+  // and its first error (any row in strict mode, bad metadata in every
+  // mode); merging in shard order reproduces
   // the serial parser exactly, so trace AND report are byte-identical at
   // any thread count.
   struct Shard {
     std::vector<JobRecord> jobs;
-    std::vector<std::pair<std::string, std::string>> metadata;
+    MetadataUpdate metadata;
     Status error = Status::Ok();
     size_t rows = 0;
     size_t skipped = 0;
@@ -555,11 +619,9 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
           const int line_number = records[i].line;
           if (line.empty()) continue;
           if (line[0] == '#') {
-            auto parts = Split(line.substr(1), '=');
-            if (parts.size() == 2) {
-              shard.metadata.emplace_back(std::move(parts[0]),
-                                          std::move(parts[1]));
-            }
+            shard.error =
+                ReadMetadataComment(line, line_number, &shard.metadata);
+            if (!shard.error.ok()) return;
             continue;
           }
           ++shard.rows;
@@ -605,9 +667,7 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
   std::vector<JobRecord> jobs;
   jobs.reserve(total_jobs);
   for (Shard& shard : shards) {
-    for (const auto& [key, value] : shard.metadata) {
-      ApplyMetadata(&trace, key, value);
-    }
+    shard.metadata.ApplyTo(&trace.mutable_metadata());
     for (JobRecord& job : shard.jobs) jobs.push_back(std::move(job));
     if (report) {
       report->total_rows += shard.rows;

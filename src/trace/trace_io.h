@@ -138,6 +138,12 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text, int threads = 0);
 
 std::string TraceToCsv(const Trace& trace);
 
+/// Length of the longest prefix of `text` made of whole CSV records that
+/// appending bytes to `text` cannot change, by the same record-boundary
+/// rule the parser splits with: what a reader following a growing file may
+/// parse now. 0 when no record is complete yet.
+size_t CompleteCsvPrefix(std::string_view text);
+
 }  // namespace swim::trace
 
 #endif  // SWIM_TRACE_TRACE_IO_H_

@@ -1,5 +1,13 @@
+#include <cerrno>
+#include <charconv>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -282,6 +290,86 @@ TEST(StringUtilTest, FirstWordOfJobName) {
   EXPECT_EQ(FirstWordOfJobName(""), "");
 }
 
+// The strtod/strtoll parsers ParseDouble and ParseInt64 used before they
+// moved to from_chars, kept as the oracle: the accepted set and every value
+// must stay exactly theirs.
+bool OracleParseDouble(std::string_view text, double* value) {
+  std::string buffer(StripWhitespace(text));
+  if (buffer.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  double parsed = std::strtod(buffer.c_str(), &end);
+  if (end != buffer.c_str() + buffer.size()) return false;
+  if (errno != 0 && (errno != ERANGE || !std::isfinite(parsed))) return false;
+  *value = parsed;
+  return true;
+}
+
+bool OracleParseInt64(std::string_view text, int64_t* value) {
+  std::string buffer(StripWhitespace(text));
+  if (buffer.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  long long parsed = std::strtoll(buffer.c_str(), &end, 10);
+  if (errno != 0 || end != buffer.c_str() + buffer.size()) return false;
+  *value = parsed;
+  return true;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Same verdict, and on success the same bits (a NaN's payload and the sign
+// of zero included); on failure the output is left untouched.
+void ExpectDoubleMatchesOracle(const std::string& text) {
+  double got = -7.25;
+  double want = -7.25;
+  const bool got_ok = ParseDouble(text, &got);
+  EXPECT_EQ(got_ok, OracleParseDouble(text, &want)) << "'" << text << "'";
+  EXPECT_EQ(Bits(got), Bits(want)) << "'" << text << "'";
+}
+
+void ExpectInt64MatchesOracle(const std::string& text) {
+  int64_t got = -7;
+  int64_t want = -7;
+  const bool got_ok = ParseInt64(text, &got);
+  EXPECT_EQ(got_ok, OracleParseInt64(text, &want)) << "'" << text << "'";
+  EXPECT_EQ(got, want) << "'" << text << "'";
+}
+
+// Strings from a numeric alphabet: mostly malformed, some valid in one
+// syntax and not the other.
+std::string RandomNumericString(Pcg32& rng) {
+  static constexpr char kAlphabet[] =
+      "0123456789012345+-.eExXpPinfaNIF() \t";
+  std::string text(1 + rng.NextBounded(16), ' ');
+  for (char& c : text) c = kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)];
+  return text;
+}
+
+const std::vector<std::string>& EdgeNumbers() {
+  static const std::vector<std::string> edges = {
+      "3.5", " -2e3 ", "abc", "1.5x", "", " ", "\t", "+5", "-5", "+-5",
+      "-+5", "++5", "+", "-", ".", "5.", ".5", "-.5", "1e", "1e+", "1e5",
+      "1E-5", "0x1p3", "0X1P-3", "0x10", "-0x1.8p1", "0x", "1e400", "-1e400",
+      "1e-400", "-1e-400", "5e-324", "2e-324", "3e-324",
+      "2.2250738585072011e-308", "4.9406564584124654e-324",
+      "1.7976931348623157e308",
+      "1.7976931348623159e308", "inf", "-inf", "+inf", "Infinity", "INF",
+      "infin", "nan", "-nan", "+nan", "NaN", "nan(123)", "nan()", "nan(",
+      "0", "-0", "+0", "00", "007", "0.1", "0.30000000000000004",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "-9223372036854775809", "9223372036854775806", "-9223372036854775807",
+      "18446744073709551616", " 42", "42 ", "\n42\r", "4 2", "1,5", "1.5.5",
+      "123456789012345678901234567890", "0.000000000000000000000000000001",
+      "1e-99999999999999999999", "1e99999999999999999999",
+      std::string("12\0" "3", 4)};
+  return edges;
+}
+
 TEST(StringUtilTest, ParseDouble) {
   double value = 0;
   EXPECT_TRUE(ParseDouble("3.5", &value));
@@ -291,6 +379,28 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc", &value));
   EXPECT_FALSE(ParseDouble("1.5x", &value));
   EXPECT_FALSE(ParseDouble("", &value));
+
+  for (const std::string& text : EdgeNumbers()) {
+    ExpectDoubleMatchesOracle(text);
+  }
+  Pcg32 rng(2012);
+  for (int i = 0; i < 100000; ++i) {
+    ExpectDoubleMatchesOracle(RandomNumericString(rng));
+  }
+  // Renderings of random doubles across the whole exponent range, as the
+  // CSV writer (shortest round-trip), printf and hex printf spell them.
+  char buffer[64];
+  for (int i = 0; i < 30000; ++i) {
+    uint64_t bits = (static_cast<uint64_t>(rng()) << 32) | rng();
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof(d));
+    auto end = std::to_chars(buffer, buffer + sizeof(buffer), d).ptr;
+    ExpectDoubleMatchesOracle(std::string(buffer, end));
+    std::snprintf(buffer, sizeof(buffer), "%.17g", d);
+    ExpectDoubleMatchesOracle(buffer);
+    std::snprintf(buffer, sizeof(buffer), "%a", d);
+    ExpectDoubleMatchesOracle(buffer);
+  }
 }
 
 TEST(StringUtilTest, ParseInt64) {
@@ -301,6 +411,22 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_EQ(value, -7);
   EXPECT_FALSE(ParseInt64("4.2", &value));
   EXPECT_FALSE(ParseInt64("", &value));
+
+  for (const std::string& text : EdgeNumbers()) {
+    ExpectInt64MatchesOracle(text);
+  }
+  Pcg32 rng(4242);
+  for (int i = 0; i < 100000; ++i) {
+    ExpectInt64MatchesOracle(RandomNumericString(rng));
+  }
+  char buffer[32];
+  for (int i = 0; i < 30000; ++i) {
+    const int64_t v = static_cast<int64_t>(
+        (static_cast<uint64_t>(rng()) << 32) | rng()) >> rng.NextBounded(64);
+    std::snprintf(buffer, sizeof(buffer), "%+" PRId64, v);
+    ExpectInt64MatchesOracle(buffer);
+    ExpectInt64MatchesOracle(buffer + (v >= 0 ? 1 : 0));
+  }
 }
 
 }  // namespace

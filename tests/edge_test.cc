@@ -121,6 +121,22 @@ TEST(EdgeTraceTest, SetJobsSortsBulk) {
   EXPECT_DOUBLE_EQ(t.StartTime(), 0.0);
   EXPECT_EQ(t.jobs().front().job_id, 1u);   // submitted at t=0
   EXPECT_EQ(t.jobs().back().job_id, 10u);   // submitted at t=90
+
+  // Ties keep their input order whether SetJobs sorts (unsorted input) or
+  // skips the sort (input already in submit order).
+  std::vector<trace::JobRecord> tied = {TinyJob(1, 5.0), TinyJob(2, 0.0),
+                                        TinyJob(3, 5.0), TinyJob(4, 0.0),
+                                        TinyJob(5, 5.0)};
+  std::vector<trace::JobRecord> sorted = {TinyJob(2, 0.0), TinyJob(4, 0.0),
+                                          TinyJob(1, 5.0), TinyJob(3, 5.0),
+                                          TinyJob(5, 5.0)};
+  for (auto* input : {&tied, &sorted}) {
+    trace::Trace ties;
+    ties.SetJobs(*input);
+    std::vector<uint64_t> ids;
+    for (const auto& job : ties.jobs()) ids.push_back(job.job_id);
+    EXPECT_EQ(ids, (std::vector<uint64_t>{2, 4, 1, 3, 5}));
+  }
 }
 
 TEST(EdgeTraceTest, CsvHandlesCrlfAndBlankLines) {

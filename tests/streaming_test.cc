@@ -620,6 +620,79 @@ TEST(FollowTest, CsvHalfFlushedLineWaitsForCompletion) {
   EXPECT_EQ(second->total_jobs, 100u);
 }
 
+// The one-shot streaming report over a whole CSV document (what
+// swim_analyze --stream prints for it).
+std::string OneShotCsvReport(const std::string& csv) {
+  auto parsed = trace::TraceFromCsv(csv);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  StreamingAnalyzer analyzer;
+  analyzer.SetMetadata(parsed->metadata());
+  EXPECT_TRUE(analyzer
+                  .ObserveJobs(Span<const trace::JobRecord>(
+                      parsed->jobs().data(), parsed->jobs().size()))
+                  .ok());
+  auto report = analyzer.Report();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return FormatStreamingReport(*report);
+}
+
+TEST(FollowTest, CsvQuoteInMetadataCommentDoesNotStall) {
+  // '#' lines never continue a record, so the quote in this name must not
+  // hold back the record boundary of every line after it.
+  const trace::Trace full = GenerateWorkload("CC-b", 300);
+  std::string csv = trace::TraceToCsv(full);
+  csv = "#name=O\"Brien" + csv.substr(csv.find('\n'));
+  const std::string path = WriteTempFile("follow_quoted_meta.csv", csv);
+  auto follower = TraceFollower::Open(path);
+  ASSERT_TRUE(follower.ok());
+  auto poll = follower->Poll();
+  ASSERT_TRUE(poll.ok()) << poll.status().ToString();
+  EXPECT_EQ(poll->total_jobs, full.size());
+  auto report = follower->Report();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(FormatStreamingReport(*report), OneShotCsvReport(csv));
+}
+
+TEST(FollowTest, CsvQuotedNewlineWaitsAcrossPolls) {
+  // A quoted name holding a newline (and doubled quotes) in the middle of
+  // the file; the file is cut inside that quote, right after the embedded
+  // newline, where a line-based reader would see a complete line.
+  const trace::Trace generated = GenerateWorkload("CC-b", 300);
+  trace::Trace full;
+  full.mutable_metadata() = generated.metadata();
+  for (size_t i = 0; i < generated.size(); ++i) {
+    trace::JobRecord job = generated.jobs()[i];
+    if (i == 150) job.name = "say \"hi\"\nbye";
+    full.AddJob(job);
+  }
+  const std::string csv = trace::TraceToCsv(full);
+  const size_t cut = csv.find("\"say \"\"hi\"\"\n") + 12;
+  ASSERT_EQ(csv.substr(cut, 4), "bye\"");
+  const std::string path =
+      WriteTempFile("follow_quoted_newline.csv", csv.substr(0, cut));
+  auto follower = TraceFollower::Open(path);
+  ASSERT_TRUE(follower.ok());
+  auto first = follower->Poll();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->total_jobs, 150u);  // stops before the open record
+  auto idle = follower->Poll();
+  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+  EXPECT_EQ(idle->new_jobs, 0u);
+
+  AppendToFile(path, csv.substr(cut));
+  auto second = follower->Poll();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->new_jobs, full.size() - 150);
+  auto report = follower->Report();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const StreamingReport one_shot = StreamAll(ViewOf(full));
+  EXPECT_EQ(report->summary.bytes_moved, one_shot.summary.bytes_moved);
+  ASSERT_EQ(report->names.words.size(), one_shot.names.words.size());
+  for (size_t i = 0; i < report->names.words.size(); ++i) {
+    EXPECT_EQ(report->names.words[i].word, one_shot.names.words[i].word);
+  }
+}
+
 TEST(FollowTest, CsvShrinkIsAnError) {
   const trace::Trace full = GenerateWorkload("CC-b", 200);
   const std::string csv = trace::TraceToCsv(full);

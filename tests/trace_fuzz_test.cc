@@ -110,7 +110,9 @@ TEST(TraceFuzzTest, MutatedInputNeverCrashesAndReportsHold) {
       // Strict succeeding means skip sees the identical clean input.
       if (strict.ok()) ASSERT_EQ(skipped->size(), strict->size());
     } else {
-      // Lenient modes only reject whole-file problems (missing header).
+      // Lenient modes only reject whole-file problems: a missing or
+      // unrecognized header, or a machines/year comment that is not an
+      // integer in [0, INT_MAX].
       ASSERT_FALSE(strict.ok());
     }
 

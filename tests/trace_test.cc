@@ -372,6 +372,43 @@ TEST(TraceIoTest, MetadataCommentsAfterHeader) {
   EXPECT_EQ(parsed->metadata().name, "LATE");
   EXPECT_EQ(parsed->metadata().machines, 64);
   ASSERT_EQ(parsed->size(), 1u);
+
+  // The key ends at the first '=': a name may hold '=' (and a quote).
+  auto named = TraceFromCsv("#name=CC-b=v2\n#year=2011\n#note\n#x=1\n" +
+                            std::string(kTraceCsvHeader) + "\n#name=O\"B\n");
+  ASSERT_TRUE(named.ok()) << named.status();
+  EXPECT_EQ(named->metadata().name, "O\"B");
+  EXPECT_EQ(named->metadata().year, 2011);
+  named = TraceFromCsv("#name=CC-b=v2\n" + std::string(kTraceCsvHeader));
+  ASSERT_TRUE(named.ok()) << named.status();
+  EXPECT_EQ(named->metadata().name, "CC-b=v2");
+  named = TraceFromCsv("#machines= 2147483647 \n#year=0\n" +
+                       std::string(kTraceCsvHeader));
+  ASSERT_TRUE(named.ok()) << named.status();
+  EXPECT_EQ(named->metadata().machines, 2147483647);
+
+  // machines and year are read exactly or rejected, before or after the
+  // header and in every parse mode.
+  const std::string row = "1,n,0,1,1,0,1,1,0,1,0,a,b\n";
+  for (const char* bad :
+       {"machines=4294967596", "machines=-7", "machines=", "machines=3x",
+        "machines=2147483648", "year=1e3", "year=-1", "year=+"}) {
+    const std::string key(bad, std::string_view(bad).find('='));
+    const std::string want = "line 2: bad " + key;
+    const std::string comment = "#" + std::string(bad) + "\n";
+    for (const std::string& csv :
+         {"#name=ok\n" + comment + kTraceCsvHeader + "\n" + row,
+          std::string(kTraceCsvHeader) + "\n" + comment + row}) {
+      for (ParseMode mode :
+           {ParseMode::kStrict, ParseMode::kSkip, ParseMode::kRepair}) {
+        ParseOptions options;
+        options.mode = mode;
+        auto rejected = TraceFromCsv(csv, options);
+        ASSERT_FALSE(rejected.ok()) << bad;
+        EXPECT_EQ(rejected.status().message(), want) << bad;
+      }
+    }
+  }
 }
 
 TEST(TraceIoTest, RejectsMidFieldQuote) {
@@ -519,6 +556,44 @@ TEST(TraceIoTest, NonFiniteNumbersAreBadNumbers) {
         report.error_counts[static_cast<size_t>(ParseErrorKind::kBadNumber)],
         1u)
         << hostile;
+  }
+}
+
+TEST(TraceIoTest, CompleteCsvPrefixParsesLikeTheWholeFile) {
+  // Every prefix a follower would parse holds exactly the leading records
+  // of the whole file: quoted newlines wait for their closing quote, a
+  // quote in a '#' comment is ignored, and a stray quote is given up on
+  // once kMaxRecordLines (64) complete lines pass without closing it.
+  auto row = [](int id, const std::string& name) {
+    return std::to_string(id) + "," + name + "," + std::to_string(id) +
+           ",1,1,0,1,1,0,1,0,a,b\n";
+  };
+  std::string csv = "#name=O\"B\n" + std::string(kTraceCsvHeader) + "\n" +
+                    row(1, "\"two\nlines\"") + row(2, "crlf");
+  csv.insert(csv.size() - 1, "\r");
+  csv += row(3, "stray\"quote");
+  for (int id = 4; id < 74; ++id) csv += row(id, "plain");
+  csv += row(74, "\"a \"\"b\"\"\nc\"") + row(75, "last");
+  const ParseOptions skip{ParseMode::kSkip, 64, 0};
+  auto whole = TraceFromCsv(csv, skip);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  ASSERT_EQ(whole->size(), 74u);  // the stray-quote row is skipped
+  EXPECT_EQ(CompleteCsvPrefix(csv), csv.size());
+  const size_t header_end = csv.find("\n1,");
+  size_t previous = 0;
+  for (size_t length = 0; length <= csv.size(); ++length) {
+    const size_t cut =
+        CompleteCsvPrefix(std::string_view(csv).substr(0, length));
+    ASSERT_LE(cut, length);
+    ASSERT_GE(cut, previous) << length;
+    previous = cut;
+    if (cut <= header_end) continue;
+    auto prefix = TraceFromCsv(csv.substr(0, cut), skip);
+    ASSERT_TRUE(prefix.ok()) << length << ": " << prefix.status();
+    ASSERT_LE(prefix->size(), whole->size());
+    for (size_t i = 0; i < prefix->size(); ++i) {
+      ASSERT_EQ(prefix->jobs()[i], whole->jobs()[i]) << length;
+    }
   }
 }
 
